@@ -6,9 +6,10 @@ evaluation on increasingly large CyberShake instances (the widest family) and
 on long chains (the deepest recovery structures), which is the cost that
 drives the checkpoint-count search of every heuristic.
 
-It also compares the two evaluation backends (pure-Python reference vs the
-NumPy fast path of ``repro.core.evaluator_np``) and records the result as a
-JSON file, so later PRs have a perf trajectory to regress against:
+It also compares the evaluation backends (pure-Python reference vs the
+numpy sweep engine of ``repro.core.sweep``, whose one-shot is a sweep of
+length one) and records the result as a JSON file, so later changes have a
+perf trajectory to regress against:
 
 * ``pytest benchmarks/bench_evaluator_scaling.py`` runs the comparison at
   n ∈ {50, 100, 250, 500} and writes ``benchmark_results/evaluator_backends.json``
@@ -284,7 +285,11 @@ def main(argv=None) -> int:
 
 
 def test_lost_work_dominates_cost(benchmark):
-    """The lost-work arrays can be reused across platforms: measure the split."""
+    """The lost-work arrays can be reused across platforms: measure the split.
+
+    A precomputed ``lost_work`` runs on the Python reference whatever the
+    backend, so this times the reference's Theorem-3 recursion alone.
+    """
     from repro import compute_lost_work
 
     schedule = _cybershake_schedule(150)

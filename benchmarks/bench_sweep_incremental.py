@@ -19,8 +19,10 @@ This benchmark times both sweep shapes end to end on the CyberShake family
 
 The eager baseline reproduces the pre-sweep ``batch_evaluate`` loop (shared
 position tables, full Algorithm-1 fill and full Theorem-3 kernel per
-candidate).  Timings are phase-split (Algorithm-1 loss fill vs Theorem-3
-kernel vs bookkeeping overhead) through ``SweepState(profile=True)``.
+candidate); it carries its own copy of the pre-sweep numpy Theorem-3 kernel
+(:func:`eager_theorem3_kernel`) so the committed baseline stays comparable.
+Timings are phase-split (Algorithm-1 loss fill vs Theorem-3 kernel vs
+bookkeeping overhead) through ``SweepState(profile=True)``.
 
 * ``pytest benchmarks/bench_sweep_incremental.py`` runs n ∈ {100, 250, 500}
   and writes ``benchmark_results/sweep_incremental.json`` (override with
@@ -41,9 +43,9 @@ from pathlib import Path
 
 from repro import Platform
 from repro.core.evaluator_native import native_available
-from repro.core.evaluator_np import _candidate_lists, _theorem3_kernel
+from repro.core.expectation import _SMALL_EXPOSURE, OVERFLOW_EXPONENT
 from repro.core.lost_work import _position_tables
-from repro.core.sweep import SweepState
+from repro.core.sweep import SweepState, _candidate_lists
 from repro.heuristics import checkpoint_by_weight, linearize
 from repro.workflows import pegasus
 
@@ -85,6 +87,80 @@ def _local_search_round_sets(workflow, order) -> list[frozenset[int]]:
     position = {task: pos for pos, task in enumerate(order)}
     tasks = sorted(range(workflow.n_tasks), key=lambda t: -position[t])
     return [base ^ frozenset({task}) for task in tasks]
+
+
+def eager_theorem3_kernel(np, weights, ckpt_costs, loss, lam, downtime) -> list[float]:
+    """The pre-sweep vectorized Theorem-3 recursion, kept for the baseline.
+
+    ``weights`` / ``ckpt_costs`` are ``(n,)`` position-order vectors (costs
+    zeroed where not checkpointed) and ``loss[k, i] = W^i_k + R^i_k``.
+    Returns the per-position expectations.
+    """
+    n = weights.shape[0]
+    # Equation (1) for every (k, i) pair at once; column i-1 holds
+    # E[X_i | Z^i_k] (rows k > i-1 are finite garbage, never read).
+    sub = loss[:, 1:]
+    diagonal = loss.diagonal()[1:]
+    with np.errstate(over="ignore"):
+        exposure = lam * (sub + (weights + ckpt_costs))
+        grown = np.expm1(np.minimum(exposure, OVERFLOW_EXPONENT))
+        rec_exposure = lam * np.maximum(diagonal - sub, 0.0)
+        values = np.exp(np.minimum(rec_exposure, OVERFLOW_EXPONENT)) * (
+            grown / lam + downtime * grown
+        )
+    overflow = (exposure > OVERFLOW_EXPONENT) | (rec_exposure > OVERFLOW_EXPONENT)
+    if overflow.any():
+        values[overflow] = np.inf
+    tiny = exposure < _SMALL_EXPOSURE
+    if tiny.any():
+        failure_free = sub + (weights + ckpt_costs)
+        values[tiny] = failure_free[tiny]
+    saturated = bool(np.isinf(values).any())
+
+    # Properties [A] and [B]: the sequential probability recursion over
+    # -lam-scaled running prefix sums, one np.exp per position.
+    values_t = np.ascontiguousarray(values.T)
+    neg_loss_t = np.ascontiguousarray(loss.T)
+    neg_loss_t *= -lam
+    neg_terms = (weights + ckpt_costs) * -lam
+    base = np.zeros(n)
+    base[0] = 1.0
+    running = np.zeros(n + 1)
+    with np.errstate(over="ignore"):
+        exponent_bound = lam * float((diagonal + weights + ckpt_costs).sum())
+    may_clip = not exponent_bound <= OVERFLOW_EXPONENT - 1.0
+    expected_times: list[float] = []
+    probs_buf = np.empty(n)
+    for i in range(1, n + 1):
+        m = i - 1
+        probs = probs_buf[:i]
+        if m:
+            head = probs[:m]
+            np.exp(running[:m], out=head)
+            head *= base[:m]
+            if may_clip:
+                clipped = running[:m] < -OVERFLOW_EXPONENT
+                if clipped.any():
+                    head[clipped] = 0.0
+            remaining = 1.0 - float(head.sum())
+            if remaining < 0.0:
+                remaining = 0.0
+            elif remaining > 1.0:
+                remaining = 1.0
+        else:
+            remaining = 1.0
+        probs[m] = remaining
+        if i >= 2:
+            base[m] = remaining
+        column = values_t[m, :i]
+        if saturated:
+            mask = probs > 0.0
+            expected_times.append(float(probs[mask] @ column[mask]))
+        else:
+            expected_times.append(float(probs @ column))
+        running[:i] += neg_loss_t[i, :i]
+        running[:i] += neg_terms[m]
+    return expected_times
 
 
 def eager_batch_makespans(workflow, order, sets, platform) -> list[float]:
@@ -141,8 +217,8 @@ def eager_batch_makespans(workflow, order, sets, platform) -> list[float]:
                                 stack.append(p)
                 if lost:
                     loss[k, i] = lost
-        expected_times, _ = _theorem3_kernel(
-            np, weights, ckpt_costs, loss, lam, platform.downtime, False
+        expected_times = eager_theorem3_kernel(
+            np, weights, ckpt_costs, loss, lam, platform.downtime
         )
         makespans.append(math.fsum(expected_times))
     return makespans

@@ -34,7 +34,6 @@ True
 
 from .core import (
     BACKEND_REGISTRY,
-    EVAL_BACKENDS,
     Backend,
     BackendRegistry,
     BackendSpec,
@@ -55,7 +54,6 @@ from .core import (
     expected_execution_time,
     expected_makespan,
     expected_time_lost,
-    resolve_backend,
     success_probability,
 )
 from .heuristics import (
@@ -83,7 +81,6 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "CycleError",
-    "EVAL_BACKENDS",
     "HEURISTIC_NAMES",
     "HeuristicResult",
     "LostWork",
@@ -106,7 +103,6 @@ __all__ = [
     "expected_makespan",
     "expected_time_lost",
     "linearize",
-    "resolve_backend",
     "run_monte_carlo",
     "simulate_schedule",
     "solve_all_heuristics",

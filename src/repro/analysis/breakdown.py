@@ -176,7 +176,7 @@ def checkpoint_utilities(
     # the freshly dropped checkpoint the lower of the two, so each probe
     # re-prices only the suffix behind it (the utilities are still returned
     # in ascending task-index order).
-    from ..core.evaluator_np import batch_evaluate
+    from ..core.sweep import batch_evaluate
 
     position = {task: pos for pos, task in enumerate(schedule.order)}
     probed = sorted(schedule.checkpointed, key=lambda task: -position[task])

@@ -6,18 +6,9 @@ expectation of Equation (1), the lost-work arrays of Algorithm 1, and the
 polynomial-time expected-makespan evaluator of Theorem 3.
 """
 
-from .backend import (
-    BACKEND_REGISTRY,
-    EVAL_BACKENDS,
-    Backend,
-    BackendRegistry,
-    BackendSpec,
-    numpy_available,
-    resolve_backend,
-)
+from .backend import BACKEND_REGISTRY, Backend, BackendRegistry, BackendSpec
 from .dag import CycleError, Workflow, WorkflowStructure
 from .evaluator import MakespanEvaluation, evaluate_schedule, expected_makespan
-from .evaluator_np import batch_evaluate
 from .expectation import (
     expected_execution_time,
     expected_number_of_failures,
@@ -27,7 +18,7 @@ from .expectation import (
 from .lost_work import LostWork, compute_lost_work, lost_and_needed_tasks
 from .platform import Platform, PlatformSpec
 from .schedule import Schedule
-from .sweep import SweepState, SweepStats
+from .sweep import SweepState, SweepStats, batch_evaluate
 from .task import Task
 
 __all__ = [
@@ -36,7 +27,6 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "CycleError",
-    "EVAL_BACKENDS",
     "LostWork",
     "MakespanEvaluation",
     "Platform",
@@ -55,7 +45,5 @@ __all__ = [
     "expected_number_of_failures",
     "expected_time_lost",
     "lost_and_needed_tasks",
-    "numpy_available",
-    "resolve_backend",
     "success_probability",
 ]

@@ -1,41 +1,35 @@
-"""Pluggable evaluation-backend registry.
+"""Evaluation-backend registry.
 
-The Theorem-3 evaluator exists in three implementations that compute the
-same quantity:
+The Theorem-3 evaluator runs on one of three backends:
 
 * ``"python"`` — the always-available reference loop of
   :mod:`repro.core.evaluator`, kept deliberately close to the paper's
-  notation;
-* ``"numpy"`` — the vectorized kernel of :mod:`repro.core.evaluator_np`;
-* ``"native"`` — the compiled C kernel of
+  notation (the oracle every other backend is tested against);
+* ``"numpy"`` — the vectorized engine of :mod:`repro.core.sweep`;
+* ``"native"`` — the same engine with its Algorithm-1 fill and Theorem-3
+  recursion swapped for the compiled C kernels of
   :mod:`repro.core.evaluator_native`, built on first use when a C
   toolchain is present.
 
-All of them saturate overflows at the same
-:data:`repro.core.expectation.OVERFLOW_EXPONENT` and agree within
-floating-point noise (the property tests pin a 1e-9 relative bound), so
-callers may treat the backend as a pure performance knob: cache keys
-deliberately exclude it, and a cache warmed by one backend serves the
-others.
+The two array backends evaluate everything through
+:class:`repro.core.sweep.SweepState`; a one-shot evaluation is a sweep of
+length one.  All backends saturate overflows at the same
+:data:`repro.core.expectation.OVERFLOW_EXPONENT` and agree within 1e-9
+relative (property-tested), but not bit for bit: the last ulp can differ
+between backends.  Cache keys nevertheless exclude the backend, so a cache
+warmed by one backend serves the others with the warming backend's values.
 
 Backends are :class:`Backend` objects registered in a process-wide
 :class:`BackendRegistry` (:data:`BACKEND_REGISTRY`).  Each carries:
 
-* ``capabilities`` — which entry points it implements (``"evaluate"``,
-  ``"batch_evaluate"``, ``"sweep"``, ``"monte_carlo"``); resolution is
-  capability-aware, so e.g. the Monte-Carlo engine can never be handed the
-  native kernel (which has no simulation path);
+* ``capabilities`` — ``"evaluate"`` (Theorem 3) and/or ``"monte_carlo"``
+  (the fault-injection simulator); resolution is capability-aware, so the
+  Monte-Carlo engine can never be handed the native kernel, which has no
+  simulation path;
 * ``priority`` — the ``"auto"`` preference order (higher wins);
 * ``min_auto_tasks`` — the instance size below which ``"auto"`` skips it
   (per-call setup would exceed what the fast path saves);
-* ``available()`` — a lazy, memoized probe (numpy importable? C toolchain
-  present?).
-
-Third-party backends plug in either programmatically
-(``BACKEND_REGISTRY.register(Backend(...))``) or through the
-``repro.backends`` entry-point group: each entry point must resolve to a
-:class:`Backend` instance or a zero-argument callable returning one, and is
-loaded lazily on first resolution.
+* ``available()`` — a lazy, memoized probe (C toolchain present?).
 
 Selection rules, in decreasing precedence:
 
@@ -50,25 +44,17 @@ A named backend that exists but lacks the *required capability* falls back
 to the automatic choice among capable backends (so ``backend="native"``
 keeps working on a Monte-Carlo call instead of erroring); a named backend
 that is *unavailable* on this machine raises a clear :class:`ValueError`.
-
-:func:`resolve_backend` and :data:`EVAL_BACKENDS` are kept as thin
-deprecated shims over the registry so pre-registry call sites (and cached
-campaign configurations naming a backend) keep working unchanged.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .evaluator import MakespanEvaluation
     from .evaluator_native import NativeKernels
-    from .lost_work import LostWork
-    from .platform import Platform
-    from .schedule import Schedule
-    from .dag import Workflow
 
 __all__ = [
     "AUTO_NUMPY_MIN_TASKS",
@@ -77,9 +63,6 @@ __all__ = [
     "Backend",
     "BackendRegistry",
     "BackendSpec",
-    "EVAL_BACKENDS",
-    "numpy_available",
-    "resolve_backend",
 ]
 
 #: Environment variable overriding the default backend choice.  It applies
@@ -95,39 +78,20 @@ BACKEND_ENV_VAR = "REPRO_EVAL_BACKEND"
 #: backends.
 AUTO_NUMPY_MIN_TASKS = 32
 
-#: Entry-point group scanned for third-party backends.
-ENTRY_POINT_GROUP = "repro.backends"
-
-_NUMPY_AVAILABLE: bool | None = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy fast path can be used in this process."""
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:
-            import numpy  # noqa: F401
-        except Exception:  # pragma: no cover - exercised only without numpy
-            _NUMPY_AVAILABLE = False
-        else:
-            _NUMPY_AVAILABLE = True
-    return _NUMPY_AVAILABLE
-
 
 # ----------------------------------------------------------------------
 # Backend objects
 # ----------------------------------------------------------------------
 class Backend:
-    """One evaluation backend: capabilities, availability and entry points.
+    """One evaluation backend: capabilities, availability and sweep hooks.
 
     Parameters
     ----------
     name:
         Registry key (the value callers pass as ``backend="..."``).
     capabilities:
-        Entry points this backend implements, from ``{"evaluate",
-        "batch_evaluate", "sweep", "monte_carlo"}`` (free-form strings are
-        allowed for third-party capabilities).
+        What this backend can run: ``"evaluate"`` (Theorem 3) and/or
+        ``"monte_carlo"`` (the fault-injection simulator).
     priority:
         ``"auto"`` preference (higher wins among available backends).
     min_auto_tasks:
@@ -140,11 +104,6 @@ class Backend:
     unavailable_reason:
         Zero-argument callable returning a human-readable reason when the
         probe fails (used by diagnostics such as ``repro backends``).
-    evaluate:
-        ``(schedule, platform, *, lost_work=None, keep_probabilities=False)
-        -> MakespanEvaluation``; required for the ``"evaluate"`` capability.
-        Looked up lazily so registering a backend never imports its
-        implementation module.
     sweep_kernels:
         Zero-argument callable returning the backend's compiled sweep hooks
         (see :class:`repro.core.sweep.SweepState`); only meaningful for
@@ -160,7 +119,6 @@ class Backend:
         min_auto_tasks: int = 0,
         available: Callable[[], bool] | None = None,
         unavailable_reason: Callable[[], str | None] | None = None,
-        evaluate: Callable[..., "MakespanEvaluation"] | None = None,
         sweep_kernels: Callable[[], Any] | None = None,
     ) -> None:
         self.name = str(name)
@@ -169,7 +127,6 @@ class Backend:
         self.min_auto_tasks = int(min_auto_tasks)
         self._available = available
         self._unavailable_reason = unavailable_reason
-        self._evaluate = evaluate
         self._sweep_kernels = sweep_kernels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -186,51 +143,6 @@ class Backend:
         if self._unavailable_reason is not None:
             return self._unavailable_reason()
         return f"the {self.name} backend is not available in this process"
-
-    def evaluate(
-        self,
-        schedule: "Schedule",
-        platform: "Platform",
-        *,
-        lost_work: Any = None,
-        keep_probabilities: bool = False,
-    ) -> "MakespanEvaluation":
-        """One-shot Theorem-3 evaluation through this backend."""
-        if self._evaluate is None:
-            raise ValueError(
-                f"backend {self.name!r} does not implement 'evaluate'"
-            )
-        return self._evaluate(
-            schedule,
-            platform,
-            lost_work=lost_work,
-            keep_probabilities=keep_probabilities,
-        )
-
-    def batch_evaluate(
-        self,
-        workflow: "Workflow",
-        order: Sequence[int],
-        checkpoint_sets: Iterable[Iterable[int]],
-        platform: "Platform",
-        *,
-        keep_task_times: bool = True,
-    ) -> list["MakespanEvaluation"]:
-        """Score many checkpoint sets over one linearization.
-
-        Default implementation: the shared incremental sweep engine pinned
-        to this backend (which is how all built-in backends batch).
-        """
-        from .evaluator_np import batch_evaluate as _batch
-
-        return _batch(
-            workflow,
-            order,
-            checkpoint_sets,
-            platform,
-            backend=self.name,
-            keep_task_times=keep_task_times,
-        )
 
     def sweep_kernels(self) -> Any:
         """Compiled sweep hooks, or ``None`` when the shared engine's own
@@ -284,45 +196,21 @@ class BackendRegistry:
 
     def __init__(self) -> None:
         self._backends: dict[str, Backend] = {}
-        self._entry_points_loaded = False
 
     # -- registration ---------------------------------------------------
-    def register(self, backend: Backend, *, replace: bool = False) -> Backend:
-        """Add ``backend`` under its name; ``replace=True`` overrides."""
+    def register(self, backend: Backend) -> Backend:
+        """Add ``backend`` under its name (names are unique)."""
         name = backend.name
         if name == "auto":
             raise ValueError("'auto' is reserved for automatic resolution")
-        if not replace and name in self._backends:
+        if name in self._backends:
             raise ValueError(f"backend {name!r} is already registered")
         self._backends[name] = backend
         return backend
 
-    def unregister(self, name: str) -> None:
-        """Remove a registered backend (primarily a test hook)."""
-        self._backends.pop(name, None)
-
-    def _load_entry_points(self) -> None:
-        if self._entry_points_loaded:
-            return
-        self._entry_points_loaded = True
-        try:
-            from importlib.metadata import entry_points
-
-            for ep in entry_points(group=ENTRY_POINT_GROUP):
-                try:
-                    obj = ep.load()
-                    backend = obj() if callable(obj) and not isinstance(obj, Backend) else obj
-                    if isinstance(backend, Backend) and backend.name not in self._backends:
-                        self.register(backend)
-                except Exception:  # pragma: no cover - third-party failure
-                    continue  # a broken plugin must not break resolution
-        except Exception:  # pragma: no cover - metadata machinery missing
-            pass
-
     # -- introspection --------------------------------------------------
     def names(self) -> tuple[str, ...]:
         """Registered backend names, in ``"auto"`` preference order."""
-        self._load_entry_points()
         ordered = sorted(
             self._backends.values(), key=lambda b: (b.priority, b.name)
         )
@@ -337,7 +225,6 @@ class BackendRegistry:
         """The backend registered under ``name`` (:class:`ValueError` if
         unknown — with the historical message, so error-matching callers
         and tests keep working)."""
-        self._load_entry_points()
         try:
             return self._backends[name]
         except KeyError:
@@ -376,7 +263,7 @@ class BackendRegistry:
         ------
         ValueError
             For an unknown backend name, or when a named backend is not
-            available on this machine (no numpy / no C toolchain).
+            available on this machine (e.g. no C toolchain).
         """
         if isinstance(spec, BackendSpec):
             spec = spec.backend
@@ -400,7 +287,6 @@ class BackendRegistry:
         return self._auto(n_tasks, require)
 
     def _auto(self, n_tasks: int | None, require: str) -> Backend:
-        self._load_entry_points()
         fallback: Backend | None = None
         for backend in sorted(
             self._backends.values(),
@@ -410,8 +296,8 @@ class BackendRegistry:
                 continue
             if not backend.available():
                 continue
-            if fallback is None or backend.min_auto_tasks == 0:
-                fallback = fallback or backend
+            if fallback is None:
+                fallback = backend
             if n_tasks is not None and n_tasks < backend.min_auto_tasks:
                 continue
             return backend
@@ -447,58 +333,6 @@ class BackendRegistry:
 # ----------------------------------------------------------------------
 # Built-in backends
 # ----------------------------------------------------------------------
-def _python_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    from .evaluator import evaluate_schedule
-
-    return evaluate_schedule(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-        backend="python",
-    )
-
-
-def _numpy_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    from .evaluator_np import evaluate_schedule_numpy
-
-    return evaluate_schedule_numpy(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-    )
-
-
-def _native_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    from .evaluator_native import evaluate_schedule_native
-
-    return evaluate_schedule_native(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-    )
-
-
 def _native_ok() -> bool:
     from .evaluator_native import native_available
 
@@ -521,56 +355,27 @@ BACKEND_REGISTRY = BackendRegistry()
 BACKEND_REGISTRY.register(
     Backend(
         "python",
-        capabilities=("evaluate", "batch_evaluate", "sweep", "monte_carlo"),
+        capabilities=("evaluate", "monte_carlo"),
         priority=0,
         min_auto_tasks=0,
-        evaluate=_python_evaluate,
     )
 )
 BACKEND_REGISTRY.register(
     Backend(
         "numpy",
-        capabilities=("evaluate", "batch_evaluate", "sweep", "monte_carlo"),
+        capabilities=("evaluate", "monte_carlo"),
         priority=10,
         min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
-        available=numpy_available,
-        unavailable_reason=lambda: "numpy is not importable",
-        evaluate=_numpy_evaluate,
     )
 )
 BACKEND_REGISTRY.register(
     Backend(
         "native",
-        capabilities=("evaluate", "batch_evaluate", "sweep"),
+        capabilities=("evaluate",),
         priority=20,
         min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
         available=_native_ok,
         unavailable_reason=_native_reason,
-        evaluate=_native_evaluate,
         sweep_kernels=_native_kernels,
     )
 )
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims (pre-registry API)
-# ----------------------------------------------------------------------
-#: Deprecated: the built-in ``backend=`` values, frozen at import time.
-#: Prefer ``BACKEND_REGISTRY.choices()``, which also reflects backends
-#: registered later (entry points, tests, plugins).
-EVAL_BACKENDS: tuple[str, ...] = ("auto", "python", "numpy", "native")
-
-
-def resolve_backend(
-    backend: "BackendSpec | str | None" = None, *, n_tasks: int | None = None
-) -> str:
-    """Deprecated shim: resolve a backend request to a concrete *name*.
-
-    Pre-registry call sites used the returned string to pick an
-    implementation by hand; new code should call
-    ``BACKEND_REGISTRY.resolve(...)`` and use the returned
-    :class:`Backend` object directly.  Kept because the name is also a
-    convenient validator (campaign runners resolve eagerly so a typoed
-    ``--backend`` fails before any cache lookup).
-    """
-    return BACKEND_REGISTRY.resolve(backend, n_tasks=n_tasks).name

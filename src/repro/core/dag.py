@@ -11,8 +11,9 @@ Design notes
 * The class is intentionally light: it is a plain-Python adjacency structure
   (tuples of ints) rather than a :mod:`networkx` graph so that the hot loops of
   the makespan evaluator never pay attribute-lookup costs.  Conversion helpers
-  to/from :mod:`networkx` are provided for interoperability and for the random
-  generators.
+  to/from :mod:`networkx` are provided for interoperability; networkx is an
+  optional extra (``pip install repro-workflows[networkx]``) imported only
+  inside them.
 * Workflows are immutable.  Derived workflows (e.g. with different checkpoint
   costs) are produced by :meth:`Workflow.with_checkpoint_costs` /
   :meth:`Workflow.replace_tasks`, which return new instances.
@@ -21,11 +22,12 @@ Design notes
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .task import Task
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is an optional extra
+    import networkx as nx
 
 __all__ = ["Workflow", "WorkflowStructure", "CycleError"]
 
@@ -405,6 +407,8 @@ class Workflow:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Convert to a :class:`networkx.DiGraph` with task attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self._name)
         for task in self._tasks:
             graph.add_node(
@@ -427,6 +431,8 @@ class Workflow:
         Node attributes ``weight``, ``checkpoint_cost``, ``recovery_cost``,
         ``name`` and ``category`` are honoured when present.
         """
+        import networkx as nx
+
         if not isinstance(graph, nx.DiGraph):
             raise TypeError("expected a networkx.DiGraph")
         if not nx.is_directed_acyclic_graph(graph):

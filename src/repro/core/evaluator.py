@@ -37,7 +37,7 @@ paper's conservative :math:`O(n^4)` bound while producing the same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .backend import BACKEND_REGISTRY, BackendSpec
 from .expectation import OVERFLOW_EXPONENT, expected_execution_time
@@ -115,15 +115,21 @@ def evaluate_schedule(
     lost_work:
         Pre-computed :class:`~repro.core.lost_work.LostWork` arrays for this
         schedule; useful when evaluating many platforms for one schedule.
+        Diagnostic: the evaluation then runs on the Python reference,
+        whatever backend was requested.
     keep_probabilities:
         When true, the full :math:`P(Z^i_k)` table is attached to the result
-        (quadratic memory).
+        (quadratic memory).  Diagnostic, like ``lost_work``: served by the
+        Python reference.
     backend:
         A registered backend name (``"auto"`` / ``"python"`` / ``"numpy"``
-        / ``"native"`` / ...), a :class:`~repro.core.backend.BackendSpec`,
-        or ``None`` for ``"auto"`` — see
-        :meth:`repro.core.backend.BackendRegistry.resolve`.  All backends
-        compute the same quantity; the choice is a pure performance knob.
+        / ``"native"``), a :class:`~repro.core.backend.BackendSpec`, or
+        ``None`` for ``"auto"`` — see
+        :meth:`repro.core.backend.BackendRegistry.resolve`.  The array
+        backends evaluate through a fresh
+        :class:`~repro.core.sweep.SweepState` (a sweep of length one), so a
+        one-shot equals a sweep bit for bit on each backend.  Backends agree
+        with each other within 1e-9 relative, not bit for bit.
 
     Returns
     -------
@@ -138,14 +144,17 @@ def evaluate_schedule(
     # The trivial cases below are shared bookkeeping, so all backends are
     # bit-for-bit identical there; the recursion is where they diverge
     # (within floating-point noise — the property tests pin the bound).
+    # Resolving first means an unknown or unavailable named backend raises
+    # even on the diagnostic calls that run on the reference anyway.
     if n > 0 and lam != 0.0:
         resolved = BACKEND_REGISTRY.resolve(backend, n_tasks=n)
-        if resolved.name != "python":
-            return resolved.evaluate(
-                schedule,
-                platform,
-                lost_work=lost_work,
-                keep_probabilities=keep_probabilities,
+        if resolved.name != "python" and lost_work is None and not keep_probabilities:
+            from .sweep import SweepState
+
+            state = SweepState(workflow, order, platform, backend=resolved.name)
+            return replace(
+                state.evaluate(schedule.checkpointed),
+                failure_free_makespan=schedule.failure_free_makespan,
             )
 
     weights = [workflow.task(t).weight for t in order]

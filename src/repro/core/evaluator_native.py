@@ -12,18 +12,16 @@ source, compiler and flags, so every later process start is a plain
 Why compile at runtime instead of requiring numba/Cython at install time:
 the package stays a pure-Python install, machines without a toolchain
 degrade silently (``backend="auto"`` keeps the numpy path — see
-:func:`repro.core.backend.resolve_backend`), and the kernel is compiled
-with ``-O3 -march=native`` for the actual CPU it runs on.
+:meth:`repro.core.backend.BackendRegistry.resolve`), and the kernel is
+compiled with ``-O3 -march=native`` for the actual CPU it runs on.
 
 Entry points
 ------------
 * :func:`native_available` / :func:`native_unavailable_reason` — probe (and
   memoize) whether the kernel can be built and loaded here;
 * :func:`load_kernels` — the ctypes bindings used by
-  :class:`repro.core.sweep.SweepState` for its native fill / kernel phases;
-* :func:`evaluate_schedule_native` — one-shot evaluation, routed through a
-  fresh sweep state so one-shot and sweep results are bit-for-bit identical
-  by construction.
+  :class:`repro.core.sweep.SweepState` for its native fill / kernel phases.
+  Every native evaluation, one-shot included, runs through a sweep state.
 
 Environment knobs
 -----------------
@@ -68,18 +66,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from typing import TYPE_CHECKING
-
-from .lost_work import LostWork
-from .platform import Platform
-from .schedule import Schedule
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .evaluator import MakespanEvaluation
-
 __all__ = [
     "NativeBuildError",
-    "evaluate_schedule_native",
     "load_kernels",
     "native_available",
     "native_unavailable_reason",
@@ -359,11 +347,6 @@ def _probe() -> tuple[NativeKernels | None, str | None]:
     global _STATE
     if _STATE is None:
         try:
-            import numpy  # noqa: F401  (the native path drives numpy buffers)
-        except Exception:  # pragma: no cover - exercised only without numpy
-            _STATE = (None, "numpy is required to drive the native kernels")
-            return _STATE
-        try:
             _STATE = (_build_and_load(), None)
         except NativeBuildError as exc:
             _STATE = (None, str(exc))
@@ -399,54 +382,3 @@ def load_kernels() -> NativeKernels:
     if kernels is None:
         raise NativeBuildError(reason or "native backend unavailable")
     return kernels
-
-
-def evaluate_schedule_native(
-    schedule: Schedule,
-    platform: Platform,
-    *,
-    lost_work: LostWork | None = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    """Native implementation of :func:`repro.core.evaluator.evaluate_schedule`.
-
-    The ranking path (no precomputed lost work, no probability table) runs a
-    fresh :class:`~repro.core.sweep.SweepState` on the native backend — a
-    one-shot evaluation is a sweep of length one, so one-shot and sweep
-    results are **bit-for-bit identical by construction** (the contract the
-    search and refinement layers rely on when they re-evaluate a sweep
-    winner through the one-shot entry point).
-
-    The diagnostic paths — ``keep_probabilities=True`` or a precomputed
-    ``lost_work`` — are served by the numpy canon instead: they are rare,
-    off the hot loops, and the two backends agree within the 1e-9
-    equivalence bound the property suite pins.  The trivial ``n = 0`` /
-    ``lambda = 0`` cases delegate to the shared reference bookkeeping,
-    exactly like the numpy entry point.
-    """
-    from .evaluator import evaluate_schedule
-
-    n = schedule.n_tasks
-    lam = platform.failure_rate
-    if n == 0 or lam == 0.0:
-        return evaluate_schedule(
-            schedule, platform, lost_work=lost_work,
-            keep_probabilities=keep_probabilities, backend="python",
-        )
-    if lost_work is not None or keep_probabilities:
-        from .evaluator_np import evaluate_schedule_numpy
-
-        return evaluate_schedule_numpy(
-            schedule, platform, lost_work=lost_work,
-            keep_probabilities=keep_probabilities,
-        )
-
-    from dataclasses import replace as _replace
-
-    from .sweep import SweepState
-
-    state = SweepState(schedule.workflow, schedule.order, platform, backend="native")
-    evaluation = state.evaluate(schedule.checkpointed)
-    return _replace(
-        evaluation, failure_free_makespan=schedule.failure_free_makespan
-    )

@@ -35,6 +35,10 @@ __all__ = [
 #: ``OverflowError`` so that heuristics can still rank such schedules last.
 OVERFLOW_EXPONENT = 700.0
 
+#: Exposure ``lambda * (w + c)`` below which Equation (1) returns the
+#: failure-free duration ``w + c``; the array backends apply the same guard.
+_SMALL_EXPOSURE = 1e-12
+
 
 def _safe_exp(x: float) -> float:
     """``exp(x)`` that saturates to ``inf`` instead of raising OverflowError."""
@@ -94,7 +98,7 @@ def expected_execution_time(
     # that vanishingly small failure rates do not go through an infinite 1/lam
     # intermediate (the limit is simply w + c).
     exposure = lam * (work + checkpoint)
-    if exposure < 1e-12:
+    if exposure < _SMALL_EXPOSURE:
         # The probability of a failure during this computation is negligible
         # (and the general expression below would lose precision in denormal
         # arithmetic): the expectation equals the failure-free duration.

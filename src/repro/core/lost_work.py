@@ -40,9 +40,7 @@ Two implementations are provided:
 The membership sets :math:`T^{\\downarrow k}_i` are quadratic memory that only
 tests and trace tooling read, so they are **opt-in**: pass
 ``keep_members=True`` to :func:`compute_lost_work` to populate
-:attr:`LostWork.members`.  The NumPy evaluation backend reads the same data as
-contiguous float64 matrices via :attr:`LostWork.work_array` /
-:attr:`LostWork.recovery_array` (converted lazily and cached).
+:attr:`LostWork.members`.
 """
 
 from __future__ import annotations
@@ -100,31 +98,6 @@ class LostWork:
             )
         return self.members[k][i]
 
-    # ------------------------------------------------------------------
-    # NumPy views (lazy, cached on the instance)
-    # ------------------------------------------------------------------
-    @property
-    def work_array(self) -> Any:
-        """``work`` as a contiguous ``(n+1, n+1)`` float64 NumPy matrix."""
-        return self._arrays()[0]
-
-    @property
-    def recovery_array(self) -> Any:
-        """``recovery`` as a contiguous ``(n+1, n+1)`` float64 NumPy matrix."""
-        return self._arrays()[1]
-
-    def _arrays(self) -> tuple[Any, Any]:
-        cache = self.__dict__.get("_array_cache")
-        if cache is None:
-            import numpy as np
-
-            cache = (
-                np.asarray(self.work, dtype=np.float64),
-                np.asarray(self.recovery, dtype=np.float64),
-            )
-            object.__setattr__(self, "_array_cache", cache)
-        return cache
-
 
 def _position_tables(
     workflow: Workflow, order: Sequence[int]
@@ -132,7 +105,7 @@ def _position_tables(
     """Per-position weight / recovery-cost / predecessor tables (1-based).
 
     These depend only on the workflow and linearization — not on the
-    checkpoint set — so batch callers (``repro.core.evaluator_np``) compute
+    checkpoint set — so batch callers (:mod:`repro.core.sweep`) compute
     them once and reuse them across many checkpoint sets.
     """
     n = len(order)

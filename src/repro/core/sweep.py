@@ -1,16 +1,20 @@
-"""Incremental (delta) evaluation engine for checkpoint-set sweeps.
+"""The array-backend evaluation engine: incremental checkpoint-set sweeps.
+
+This module is the one place that knows how the array backends compute the
+Theorem-3 expected makespan.  :class:`SweepState` evaluates checkpoint sets
+over one fixed linearization on the ``"numpy"`` backend, or — with the
+Algorithm-1 fill and the Theorem-3 recursion swapped for the compiled
+kernels of :mod:`repro.core.evaluator_native` — on ``"native"``.  A one-shot
+``evaluate_schedule(..., backend="numpy" | "native")`` is a fresh state
+evaluated once: a sweep of length one.
 
 Every optimisation layer of this reproduction — the paper's ``N = 1..n-1``
 checkpoint-count search (Section 5), greedy construction, and local-search
 refinement — evaluates a *sweep of near-identical candidates*: consecutive
-candidate sets differ by a handful of checkpoint toggles over one fixed
-linearization.  Re-running the full Algorithm-1 fill and Theorem-3 recursion
-per candidate (what :func:`repro.core.evaluator_np.batch_evaluate` did before
-this module existed) throws that structure away.
-
-:class:`SweepState` keeps the whole evaluation pipeline materialised between
-candidates and recomputes only what a toggle can actually change.  Three
-structural facts make the delta small:
+candidate sets differ by a handful of checkpoint toggles.  A state keeps the
+whole evaluation pipeline materialised between candidates and recomputes
+only what a toggle can actually change.  Three structural facts make the
+delta small:
 
 * ``loss[k][i]`` (the :math:`W^i_k + R^i_k` sums of Algorithm 1) depends only
   on checkpoint states at positions ``< k`` — toggling the checkpoint at
@@ -25,14 +29,26 @@ structural facts make the delta small:
   ``< c`` are reused verbatim — the kernel resumes at ``i = c`` from a stored
   history of the running sums.
 
-The reused prefixes and the recomputed suffixes both apply the exact floating
-point operation sequence of the one-shot kernel to bitwise-identical inputs,
-so a :class:`SweepState` evaluation is **bit-for-bit equal** to a fresh
-:func:`repro.core.evaluator_np.evaluate_schedule_numpy` call (the property
-suite in ``tests/test_backend_equivalence.py`` pins this).  The only regime
-that defeats prefix reuse is overflow saturation (``inf`` conditional
-expectations switch the kernel to masked dot products); the engine detects it
-and falls back to a full kernel re-run for exactly those evaluations.
+The fill never walks the DAG per ``(k, i)`` pair.  Only positions ``i`` with
+a direct predecessor placed before ``k`` can charge anything for a failure
+during :math:`X_k` (:func:`_candidate_lists`), and the set such a traversal
+visits is the union of the direct predecessors' *closure bitmasks*
+(:func:`_closure_masks`) below ``k``, minus what earlier candidates already
+regenerated.  Each visited set is priced by the fixed-width value canon of
+:func:`_charge_lut` / :func:`_mask_charges`, so an entry's value does not
+depend on how rows are grouped or in which order they are refilled.
+
+Reused prefixes and recomputed suffixes therefore see bitwise-identical
+inputs and apply the same floating-point operation sequence, so a
+:class:`SweepState` evaluation is **bit-for-bit equal** to a fresh state's
+evaluation of the same set on the same backend — and hence to the one-shot
+``evaluate_schedule`` (the property suites in
+``tests/test_backend_equivalence.py`` and ``tests/test_native_backend.py``
+pin this).  The only regime that defeats prefix reuse is overflow saturation
+(``inf`` conditional expectations switch the numpy kernel to masked dot
+products); the engine detects it and falls back to a full kernel re-run for
+exactly those evaluations.  Against the Python reference the array backends
+agree within 1e-9 relative, not bit for bit.
 
 Arbitrary candidate batches degrade gracefully: the cost of an evaluation is
 proportional to the suffix behind the *lowest* toggled position, so a batch of
@@ -47,18 +63,19 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .backend import BACKEND_REGISTRY, resolve_backend
+import numpy as np
+
+from .backend import BACKEND_REGISTRY
 from .evaluator import MakespanEvaluation
-from .evaluator_np import _SMALL_EXPOSURE
-from .expectation import OVERFLOW_EXPONENT
+from .expectation import _SMALL_EXPOSURE, OVERFLOW_EXPONENT
 from .lost_work import _position_tables
 from .platform import Platform
 from .dag import Workflow
 from .schedule import Schedule
 
-__all__ = ["SweepState", "SweepStats"]
+__all__ = ["SweepState", "SweepStats", "batch_evaluate"]
 
 #: Scratch budget of one bulk-fill chunk (bytes per mask buffer).  Rows are
 #: priced independently, so chunking only bounds peak memory — it cannot
@@ -83,18 +100,106 @@ _ROW_CACHE_ENTRIES = 4
 _TABLES_LRU_ENTRIES = 8
 _TABLES_CACHE: dict[tuple[int, tuple[int, ...]], "_InstanceTables"] = {}
 
-#: The 256 x 8 little-endian bit-expansion table used by the numpy charge
-#: LUT; a pure constant, built once per process.
-_BYTE_BITS = None
+#: The 256 x 8 little-endian bit-expansion table of the charge LUT: row
+#: ``v`` holds the bits of byte value ``v``.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+)
 
 
-def _byte_bit_table(np: Any) -> Any:
-    global _BYTE_BITS
-    if _BYTE_BITS is None:
-        _BYTE_BITS = np.unpackbits(
-            np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-        )
-    return _BYTE_BITS
+# ----------------------------------------------------------------------
+# Algorithm-1 fill primitives (candidate pruning, closure masks, value canon)
+# ----------------------------------------------------------------------
+def _candidate_lists(n: int, predecessors: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """For every ``k``, the positions ``i >= k`` that can charge anything.
+
+    A failure during :math:`X_k` costs something at position ``i`` only if the
+    traversal from ``T_i`` reaches below ``k`` — which requires a *direct*
+    predecessor at a position ``< k``.  Position ``i`` therefore matters
+    exactly for ``k`` in ``(min_pred[i], i]``; everything else is a
+    structural zero.
+    """
+    cands: list[list[int]] = [[] for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        preds = predecessors[i]
+        if not preds:
+            continue
+        for k in range(preds[0] + 1, i + 1):
+            cands[k].append(i)
+    return cands
+
+
+def _closure_masks(
+    n: int,
+    predecessors: Sequence[tuple[int, ...]],
+    checkpointed: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """Per-position traversal bitmasks: ``(closures, frontiers)``.
+
+    ``closures[p]`` contains ``p`` itself plus, when ``p`` is *not*
+    checkpointed, the closure of every direct predecessor — i.e. everything
+    Algorithm 1 walks when the output of position ``p`` is needed and nothing
+    has been regenerated yet.  Checkpointed positions stop the recursion:
+    they are recovered from disk, so their own inputs are never needed.
+    ``frontiers[p]`` is the union of the direct predecessors' closures
+    regardless of ``p``'s own checkpoint state — the set a failure traversal
+    *starting* at ``p`` visits.  Predecessors sit at smaller positions in a
+    linearization, so one ascending pass computes both.
+
+    The closure-mask shortcut is exact because the regenerated set is closed
+    under predecessor descent: when a non-checkpointed position is first
+    visited, its whole closure is pushed within the same traversal, so any
+    member of :math:`T^{\\downarrow k}_i` reachable only through regenerated
+    intermediates is itself already regenerated.
+    """
+    closures = [0] * (n + 1)
+    frontiers = [0] * (n + 1)
+    for p in range(1, n + 1):
+        frontier = 0
+        for q in predecessors[p]:
+            frontier |= closures[q]
+        frontiers[p] = frontier
+        closures[p] = (1 << p) | (0 if checkpointed[p] else frontier)
+    return closures, frontiers
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _charge_lut(charge_bits: Any) -> Any:
+    """Per-byte charge lookup table — the first half of the value canon.
+
+    ``charge_bits`` holds one charge per bit position (zero-padded to
+    ``8 * mask_bytes``); the result is a ``(mask_bytes, 256)`` float64 table
+    whose ``[b, v]`` entry is the canonical charge sum of byte value ``v``
+    at byte position ``b`` (a fixed-width-8 numpy reduction).  Incremental
+    maintainers must rebuild a row with the identical expression
+    (``(_BYTE_BITS * charge_bits[8 * b : 8 * b + 8]).sum(axis=1)``) so cached
+    and freshly built tables stay bit-identical.
+    """
+    mask_bytes = charge_bits.shape[0] // 8
+    return (_BYTE_BITS * charge_bits.reshape(mask_bytes, 1, 8)).sum(axis=2)
+
+
+def _mask_charges(mask_rows: Any, charge_lut: Any) -> Any:
+    """Charge sums of visited-set bitmask rows (the shared value canon).
+
+    ``mask_rows`` is a ``(m, mask_bytes)`` uint8 matrix of little-endian
+    visited bitmasks, every row non-empty; the result is the float64 vector
+    of per-row charge sums.  Each row is priced by gathering its bytes'
+    precomputed charges from :func:`_charge_lut` and reducing them with
+    numpy's pairwise summation over the fixed width ``mask_bytes``, which
+    depends only on that width — never on ``m`` or on neighbouring rows —
+    so every refill that prices the same visited set gets the bit-identical
+    float, however the rows are grouped.
+    """
+    per_byte = charge_lut[np.arange(charge_lut.shape[0]), mask_rows]
+    return per_byte.sum(axis=1)
 
 
 class _InstanceTables:
@@ -142,9 +247,7 @@ class _InstanceTables:
         "desc",
     )
 
-    def __init__(self, workflow: Workflow, order: tuple[int, ...], np: Any) -> None:
-        from .evaluator_np import _candidate_lists
-
+    def __init__(self, workflow: Workflow, order: tuple[int, ...]) -> None:
         self.workflow = workflow
         self.order = order
         n = len(order)
@@ -161,9 +264,8 @@ class _InstanceTables:
         self.cand_len = np.asarray([len(c) for c in self.candidates], dtype=np.intp)
         self.m_max = max((len(c) for c in self.candidates), default=0)
         # Masks are padded to whole 64-bit words: the bitwise pipeline runs
-        # on uint64 matrices (8x fewer elements than bytes), and the width
-        # matches the one-shot fill of ``evaluate_schedule_numpy`` so the
-        # shared value canon sees identical rows.
+        # on uint64 matrices (8x fewer elements than bytes), and the value
+        # canon sums over this fixed width.
         self.mask_bytes = ((n + 64) // 64) * 8
         self.mask_words = self.mask_bytes // 8
         self.weights = np.asarray(weight[1:], dtype=np.float64)
@@ -206,7 +308,7 @@ class _InstanceTables:
         self.row_reach = None
         self.desc = None
 
-    def ensure_numpy_fill(self, np: Any) -> None:
+    def ensure_numpy_fill(self) -> None:
         """Build the padded-candidate / truncation tables the numpy fill reads."""
         if self.cand_pad is not None:
             return
@@ -234,7 +336,7 @@ class _InstanceTables:
         self.trunc_src = trunc_src
         self.cand_pad = cand_pad
 
-    def ensure_native_fill(self, np: Any) -> None:
+    def ensure_native_fill(self) -> None:
         """Build the CSR candidate / predecessor mirrors the C fill reads."""
         if self.cand_ptr is not None:
             return
@@ -301,7 +403,7 @@ class _InstanceTables:
         self.row_reach = reach
 
 
-def _instance_tables(workflow: Workflow, order: tuple[int, ...], np: Any) -> _InstanceTables:
+def _instance_tables(workflow: Workflow, order: tuple[int, ...]) -> _InstanceTables:
     """Return the (cached) shared tables of one validated (workflow, order).
 
     Validation runs on cache misses only: an entry can only have entered the
@@ -320,7 +422,7 @@ def _instance_tables(workflow: Workflow, order: tuple[int, ...], np: Any) -> _In
         )
     if not workflow.is_linearization(order):
         raise ValueError("order violates a dependency edge of the workflow")
-    entry = _InstanceTables(workflow, order, np)
+    entry = _InstanceTables(workflow, order)
     while len(_TABLES_CACHE) >= _TABLES_LRU_ENTRIES:
         _TABLES_CACHE.pop(next(iter(_TABLES_CACHE)))
     _TABLES_CACHE[key] = entry
@@ -399,21 +501,15 @@ class SweepState:
         n = len(self.order)
         self._n = n
         lam = platform.failure_rate
-        self.backend = resolve_backend(backend, n_tasks=n)
+        resolved = BACKEND_REGISTRY.resolve(backend, n_tasks=n)
+        self.backend = resolved.name
         self._eager = self.backend == "python" or n == 0 or lam == 0.0
         if self._eager:
             return
 
-        import numpy as np
-
-        from .evaluator_np import _charge_lut, _iter_bits, _mask_charges
-
-        self._np = np
-        self._iter_bits = _iter_bits
-        self._mask_charges = _mask_charges
         # Compiled fill/kernel bindings when the resolved backend provides
         # them (the native backend); None keeps the numpy phases.
-        self._kernels = BACKEND_REGISTRY.get(self.backend).sweep_kernels()
+        self._kernels = resolved.sweep_kernels()
         self._lam = lam
         self._downtime = platform.downtime
         self._failure_free_work = workflow.total_weight
@@ -422,7 +518,7 @@ class SweepState:
         # once per (workflow, order), cached across SweepState constructions
         # so one-shot evaluation loops pay only for per-state mutable
         # buffers.  Everything taken from the entry is read-only here.
-        tables = _instance_tables(workflow, self.order, np)
+        tables = _instance_tables(workflow, self.order)
         self._tables = tables
         self._position = tables.position
         self._weight = tables.weight
@@ -441,9 +537,9 @@ class SweepState:
 
         # The delta-only tables (ancestor / reachability / descendant
         # bitmasks and the row-content cache) are built lazily on the first
-        # *incremental* evaluation — a one-shot evaluation (the
-        # ``evaluate_schedule_numpy`` fast path) never needs them.  They may
-        # already exist on the shared entry from an earlier state.
+        # *incremental* evaluation — a one-shot evaluation (a sweep of length
+        # one) never needs them.  They may already exist on the shared entry
+        # from an earlier state.
         self._row_reach: list[int] | None = tables.row_reach
         self._desc: list[int] | None = tables.desc
 
@@ -461,9 +557,8 @@ class SweepState:
             # Algorithm 1.  Rows are padded to a common width with position
             # 0, whose frontier is the empty mask, so padding slots stay
             # structurally invisible.
-            tables.ensure_numpy_fill(np)
-            self._byte_bits = _byte_bit_table(np)
-            self._charge_lut = _charge_lut(np, self._charge_bits)
+            tables.ensure_numpy_fill()
+            self._charge_lut = _charge_lut(self._charge_bits)
             self._cand_pad = tables.cand_pad
             self._trunc_dst = tables.trunc_dst
             self._trunc_src = tables.trunc_src
@@ -473,8 +568,7 @@ class SweepState:
             # so the byte-LUT and scatter machinery is numpy-only.  What it
             # does need are CSR mirrors of the candidate / predecessor lists
             # plus per-row compaction buffers (sized for a full fill).
-            tables.ensure_native_fill(np)
-            self._byte_bits = None
+            tables.ensure_native_fill()
             self._charge_lut = None
             self._cand_pad = None
             self._trunc_dst = None
@@ -570,7 +664,7 @@ class SweepState:
 
     @property
     def is_incremental(self) -> bool:
-        """Whether deltas are evaluated incrementally (numpy path) or eagerly."""
+        """Whether deltas are evaluated incrementally (array backends) or eagerly."""
         return not self._eager
 
     # ------------------------------------------------------------------
@@ -646,12 +740,11 @@ class SweepState:
         # exact expression of ``_charge_lut`` (bit-identical tables); the
         # native fill prices off _charge_bits directly and keeps no LUT.
         if self._charge_lut is not None:
-            byte_bits = self._byte_bits
             charge_bits = self._charge_bits
             # Order-free: each iteration rewrites a distinct LUT row.
             for b in {c >> 3 for c in toggled}:  # reprolint: allow[RL004]
                 self._charge_lut[b] = (
-                    byte_bits * charge_bits[8 * b : 8 * b + 8]
+                    _BYTE_BITS * charge_bits[8 * b : 8 * b + 8]
                 ).sum(axis=1)
         if refill_all:
             # First evaluation: derive every traversal mask for the actual
@@ -704,7 +797,6 @@ class SweepState:
         their byte mirrors (``cbytes`` / ``fbytes``) and the prefix-closure
         table rows of every affected multi-predecessor position.
         """
-        np = self._np
         mask_bytes = self._mask_bytes
         checkpointed = self._checkpointed
         predecessors = self._predecessors
@@ -714,7 +806,7 @@ class SweepState:
         cwords = self._cwords
         pfbase = self._pfbase
         pf_flat = self._pf_flat
-        for p in self._iter_bits(affected):
+        for p in _iter_bits(affected):
             preds = predecessors[p]
             base = pfbase[p]
             if base >= 0:
@@ -749,15 +841,11 @@ class SweepState:
         """Derive every traversal mask for the current configuration.
 
         The full-rebuild twin of :meth:`_update_masks` (used by the first
-        evaluation): the big-int recursion is the shared
-        :func:`~repro.core.evaluator_np._closure_masks` (single source of
-        truth with the one-shot fill), the byte mirrors are flushed in two
-        bulk assignments, and the prefix-closure table is then rebuilt
-        vectorized from the flushed closure rows.
+        evaluation): the big-int recursion is :func:`_closure_masks`, the
+        byte mirrors are flushed in two bulk assignments, and the
+        prefix-closure table is then rebuilt vectorized from the flushed
+        closure rows.
         """
-        from .evaluator_np import _closure_masks
-
-        np = self._np
         n = self._n
         mask_bytes = self._mask_bytes
         closures, frontiers = _closure_masks(
@@ -819,8 +907,6 @@ class SweepState:
         its entries are keyed by the relevant configuration and remain
         valid.)
         """
-        from .evaluator_np import _charge_lut
-
         n = self._n
         self._checkpointed[:] = bytes(n + 1)
         self._ckpt_bits = 0
@@ -828,7 +914,7 @@ class SweepState:
         self._charge_bits[:] = 0.0
         self._charge_bits[1 : n + 1] = self._weight[1:]
         if self._kernels is None:
-            self._charge_lut = _charge_lut(self._np, self._charge_bits)
+            self._charge_lut = _charge_lut(self._charge_bits)
         self._loss_t[:] = 0.0
         if self._neg_loss_t is not None:
             self._neg_loss_t[:] = 0.0
@@ -850,11 +936,10 @@ class SweepState:
         axis, and read each candidate's visited set off as the XOR of
         consecutive prefix rows (``P_j = P_{j-1} | F_j`` makes the fresh
         bits ``P_j ^ P_{j-1}`` — the vectorized ``F_j & ~regenerated``).
-        Values come from the shared :func:`_mask_charges` canon, so they are
-        bit-identical to the one-shot fill of ``evaluate_schedule_numpy``;
-        cache restores are bitwise exact for the same reason.
+        Values come from the shared :func:`_mask_charges` canon, so they do
+        not depend on which rows are refilled together; cache restores are
+        bitwise exact for the same reason.
         """
-        np = self._np
         loss_t = self._loss_t
         written = self._written
         ckpt_bits = self._ckpt_bits
@@ -955,7 +1040,6 @@ class SweepState:
         self, miss_rows: list[int], miss_cfgs: list[int | None]
     ) -> None:
         """Recompute one bounded chunk of cache-missed rows vectorized."""
-        np = self._np
         loss_t = self._loss_t
         neg_loss_t = self._neg_loss_t
         rows_arr = np.asarray(miss_rows, dtype=np.intp)
@@ -996,8 +1080,8 @@ class SweepState:
             np.bitwise_xor(acc[:, 1:], acc[:, :-1], out=visited[:, 1:])
         rowsel, slotsel = np.nonzero(visited.any(axis=2))
         if rowsel.size:
-            vals = self._mask_charges(
-                np, visited[rowsel, slotsel].view(np.uint8), self._charge_lut
+            vals = _mask_charges(
+                visited[rowsel, slotsel].view(np.uint8), self._charge_lut
             )
             cols = idx[rowsel, slotsel]
             if not self._charge_positive:
@@ -1035,7 +1119,6 @@ class SweepState:
         Rows are priced independently, so the multithreaded split of large
         fills cannot change any value.
         """
-        np = self._np
         kernels = self._kernels
         n_rows = len(miss_rows)
         rows = self._rows_buf[:n_rows]
@@ -1114,7 +1197,6 @@ class SweepState:
         if self._kernels is not None:
             self._run_kernel_native(pivot)
             return
-        np = self._np
         n = self._n
         lam = self._lam
         began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
@@ -1256,3 +1338,56 @@ class SweepState:
             ),
             failure_free_work=self._failure_free_work,
         )
+
+
+def batch_evaluate(
+    workflow: Workflow,
+    order: Sequence[int],
+    checkpoint_sets: Iterable[Iterable[int]],
+    platform: Platform,
+    *,
+    backend: str | None = None,
+    keep_task_times: bool = True,
+) -> list[MakespanEvaluation]:
+    """Score many checkpoint sets over one fixed linearization.
+
+    This is the sweep primitive behind the checkpoint-count search and the
+    refinement local moves: every candidate shares the same workflow and
+    ``order``, so the position / predecessor / candidate tables (and the
+    order's linearization check) are derived once instead of per candidate.
+
+    Parameters
+    ----------
+    workflow, order, platform:
+        The instance; ``order`` must be a valid linearization of ``workflow``.
+    checkpoint_sets:
+        Iterable of checkpoint sets (task indices).  One
+        :class:`~repro.core.evaluator.MakespanEvaluation` is returned per
+        set, in input order.
+    backend:
+        ``"auto"`` / ``"python"`` / ``"numpy"`` / ``"native"``; see
+        :meth:`repro.core.backend.BackendRegistry.resolve`.  The Python path
+        simply evaluates one :class:`~repro.core.schedule.Schedule` per set
+        and is the reference the array backends are tested against.
+    keep_task_times:
+        When ``False``, the returned evaluations carry an empty
+        ``expected_task_times`` tuple.  Sweeps that only rank candidates by
+        ``expected_makespan`` (the count search, refinement toggles) pass
+        ``False`` so a batch of ``n`` candidates costs O(n) rather than
+        O(n^2) retained floats; re-evaluate the winner for the full vector.
+    """
+    order = tuple(int(i) for i in order)
+    sets = [frozenset(int(i) for i in selected) for selected in checkpoint_sets]
+    state = SweepState(workflow, order, platform, backend=backend)
+    if state.is_incremental:
+        # Validate every set up front (the incremental path otherwise raises
+        # mid-batch, after earlier sets were already evaluated).
+        for selected in sets:
+            invalid = [i for i in selected if not 0 <= i < workflow.n_tasks]
+            if invalid:
+                raise ValueError(
+                    f"checkpointed contains invalid task indices: {sorted(invalid)}"
+                )
+    return [
+        state.evaluate(selected, keep_task_times=keep_task_times) for selected in sets
+    ]

@@ -22,10 +22,11 @@ things hold at all times:
      in its ``spec()`` payload (specs are the content that enters
      Monte-Carlo keys).
 
-* **hygiene** — the evaluation *backend* is a pure performance knob: the
-  python/numpy/native backends are bit-for-bit (sweep) or 1e-9-equivalent
-  (one-shot) by contract, and a cache warmed by one serves the others.  So
-  no backend or evaluator identifier may ever reach a key payload (RL002),
+* **hygiene** — keys are backend-agnostic by design: the python, numpy
+  and native backends agree within 1e-9 relative (not bit for bit; on each
+  backend a sweep equals a one-shot bit for bit), and a cache warmed by
+  one backend serves the others with the warming backend's values.  So no
+  backend or evaluator identifier may ever reach a key payload (RL002),
   and any change to a payload's shape must come with a ``KEY_VERSION``
   bump, enforced through the committed key-schema lock file
   (``.reprolint-keys.json``; refresh with ``repro lint --write-key-lock``).
@@ -400,8 +401,8 @@ def check_backend_hygiene(ctx: LintContext) -> Iterator[Finding]:
                     col=getattr(node, "col_offset", func.col_offset),
                     message=(
                         f"identifier {name!r} inside key builder "
-                        f"{func.name}(): backends are bit-compatible by "
-                        f"contract and must stay out of cache keys"
+                        f"{func.name}(): keys are backend-agnostic by "
+                        f"design, so backends must stay out of them"
                     ),
                 )
         for payload in _payload_dicts(func):

@@ -88,8 +88,10 @@ class FabricSpec:
     fabric run and a serial ``repro campaign`` over the same arguments
     enumerate the same scenarios in the same deterministic order — the
     foundation of the byte-identity contract.  The evaluation backend stays
-    *out* of the spec (and its digest): backends are bit-compatible by
-    contract, and the choice rides the worker config instead.
+    *out* of the spec (and its digest) and rides the worker config instead.
+    Backends agree within 1e-9 relative, not bit for bit, so the merged
+    report is byte-identical to a serial run only when every worker
+    resolves to the same backend as that run.
     """
 
     families: tuple[str, ...] = ("montage",)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ..core.backend import resolve_backend
+from ..core.backend import BACKEND_REGISTRY
 from ..core.evaluator import MakespanEvaluation, evaluate_schedule
 from ..core.dag import Workflow
 from ..core.hashing import stable_seed_words
@@ -344,7 +344,7 @@ def expand_work_units(
     # Same early-failure rule for the backend name: a typo must not survive
     # until (or vary with) cache warmth.  The resolved value is discarded —
     # "auto" stays "auto" so each instance picks its own fast path.
-    resolve_backend(backend)
+    BACKEND_REGISTRY.resolve(backend)
     units: list[WorkUnit] = []
     for scenario in scenarios:
         instances = (
@@ -427,7 +427,7 @@ class CampaignRunner:
         # eagerly so that a bad --jobs / --backend value fails identically
         # on warm and cold caches.
         self.jobs = resolve_jobs(jobs)
-        resolve_backend(backend)
+        BACKEND_REGISTRY.resolve(backend)
         self.cache = cache
         self.search_mode = search_mode
         self.max_candidates = max_candidates

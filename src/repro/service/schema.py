@@ -138,9 +138,9 @@ def _validated_backend(payload: Mapping[str, Any]) -> str | None:
     backend = payload.get("backend")
     if backend is None:
         return None
-    # Validate against the live registry (entry-point backends included),
-    # names only: whether the backend is *available* in this process is a
-    # solve-time concern with its own structured error.
+    # Validate against the live registry, names only: whether the backend
+    # is *available* in this process is a solve-time concern with its own
+    # structured error.
     choices = BACKEND_REGISTRY.choices()
     if backend not in choices:
         raise ServiceError(

@@ -1,23 +1,24 @@
-"""Python / NumPy evaluation-backend equivalence (property-based).
+"""Evaluation-backend equivalence (property-based).
 
-The NumPy fast path of :mod:`repro.core.evaluator_np` must be a pure
-performance knob: on any instance it has to agree with the pure-Python
-reference of :mod:`repro.core.evaluator` within floating-point noise (1e-9
-relative), bit-for-bit on the shared trivial cases (``lambda = 0``, empty
-schedules), and cache keys must not depend on the backend so that a warm
-cache serves both.
+The array backends (numpy, and native when a C toolchain is present) run
+the sweep engine of :mod:`repro.core.sweep`.  On any instance they have to
+agree with the pure-Python reference of :mod:`repro.core.evaluator` within
+floating-point noise (1e-9 relative, not bit for bit), bit-for-bit on the
+shared trivial cases (``lambda = 0``, empty schedules), and cache keys must
+not depend on the backend so that a warm cache serves both.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    EVAL_BACKENDS,
+    BACKEND_REGISTRY,
     Platform,
     Schedule,
     SweepState,
@@ -26,9 +27,9 @@ from repro import (
     batch_evaluate,
     compute_lost_work,
     evaluate_schedule,
-    resolve_backend,
 )
 from repro.core.backend import AUTO_NUMPY_MIN_TASKS, BACKEND_ENV_VAR
+from repro.core.evaluator_native import native_available
 from repro.runtime import ResultCache
 from repro.runtime.keys import evaluation_key
 from repro.runtime.runner import CampaignRunner, WorkUnit, evaluate_schedule_cached
@@ -118,6 +119,9 @@ class TestBackendEquivalence:
     @given(data=random_instance())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     def test_probability_tables_agree(self, data):
+        """``keep_probabilities`` is a diagnostic that runs on the Python
+        reference whatever the backend, so the tables are identical and the
+        makespan matches the reference bit for bit."""
         _, schedule, platform = data
         py = evaluate_schedule(
             schedule, platform, backend="python", keep_probabilities=True
@@ -127,16 +131,14 @@ class TestBackendEquivalence:
         )
         assert py.event_probabilities is not None
         assert np_.event_probabilities is not None
-        for row_py, row_np in zip(py.event_probabilities, np_.event_probabilities):
-            assert len(row_py) == len(row_np)
-            for a, b in zip(row_py, row_np):
-                assert abs(a - b) <= 1e-9
+        assert np_.event_probabilities == py.event_probabilities
+        assert np_.expected_makespan == py.expected_makespan
 
     @given(data=random_instance())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     def test_precomputed_lost_work_matches_internal_fill(self, data):
-        """The numpy path fills its own loss matrix; feeding it the reference
-        LostWork arrays must give the same answer."""
+        """The numpy sweep fills its own loss matrix; a precomputed LostWork
+        sends the call to the Python reference, which must agree."""
         _, schedule, platform = data
         lw = compute_lost_work(schedule)
         direct = evaluate_schedule(schedule, platform, backend="numpy")
@@ -282,6 +284,83 @@ class TestIncrementalSweep:
 
 
 # ----------------------------------------------------------------------
+# Multi-word masks: instances straddling 64-bit word boundaries
+# ----------------------------------------------------------------------
+#: Sizes around the 1 -> 2 -> 3 word steps of the closure / frontier masks
+#: (position 0 is padding, so ``n`` tasks need ``n + 1`` bits).
+WORD_BOUNDARY_SIZES = (63, 64, 65, 127, 128, 129)
+
+
+def _array_backends() -> list[str]:
+    return ["numpy", "native"] if native_available() else ["numpy"]
+
+
+@st.composite
+def word_boundary_instance(draw):
+    """A random DAG with ``n`` across a mask-word boundary, plus a platform.
+
+    The DAG comes from ``random.Random(seed)`` rather than one hypothesis
+    draw per edge: ``n (n - 1) / 2`` booleans would overflow the example
+    buffer at ``n = 129``.  Each task gets up to three predecessors drawn
+    from its whole prefix, so closures and frontiers span several words.
+    """
+    n = draw(st.sampled_from(WORD_BOUNDARY_SIZES))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = set()
+    for v in range(1, n):
+        for u in rng.sample(range(v), min(v, rng.randint(0, 3))):
+            edges.add((u, v))
+    tasks = [Task(index=i, weight=rng.uniform(1.0, 100.0)) for i in range(n)]
+    workflow = Workflow(tasks, sorted(edges)).with_checkpoint_costs(
+        mode="proportional", factor=rng.uniform(0.0, 0.5)
+    )
+    checkpointed = frozenset(i for i in range(n) if rng.random() < 0.3)
+    processors = rng.randint(1, 4)
+    platform = Platform(
+        processors=processors,
+        processor_failure_rate=10 ** rng.uniform(-6.0, -3.0) / processors,
+        downtime=rng.uniform(0.0, 10.0),
+    )
+    return workflow, checkpointed, platform
+
+
+class TestMaskWordBoundaries:
+    @given(
+        data=word_boundary_instance(),
+        toggles=st.lists(
+            st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_backends_and_sweeps_agree_across_word_boundaries(self, data, toggles):
+        workflow, checkpointed, platform = data
+        n = workflow.n_tasks
+        order = tuple(range(n))
+        schedule = Schedule(workflow, order, checkpointed)
+
+        py = evaluate_schedule(schedule, platform, backend="python")
+        for backend in _array_backends():
+            got = evaluate_schedule(schedule, platform, backend=backend)
+            _assert_close(py.expected_makespan, got.expected_makespan)
+            assert len(got.expected_task_times) == n
+            for a, b in zip(py.expected_task_times, got.expected_task_times):
+                _assert_close(a, b)
+
+        sets = [checkpointed]
+        for raw in toggles:
+            sets.append(sets[-1] ^ {raw % n})
+        for backend in _array_backends():
+            state = SweepState(workflow, order, platform, backend=backend)
+            for selected in sets:
+                swept = state.evaluate(selected)
+                fresh = SweepState(workflow, order, platform, backend=backend).evaluate(
+                    selected
+                )
+                assert swept.expected_makespan == fresh.expected_makespan
+                assert swept.expected_task_times == fresh.expected_task_times
+
+
+# ----------------------------------------------------------------------
 # Cache-key equivalence: warm caches are backend-agnostic
 # ----------------------------------------------------------------------
 class TestCacheKeyEquivalence:
@@ -345,40 +424,51 @@ class TestBackendResolution:
         of the graceful-degradation contract lives in
         ``tests/test_backend_registry.py``).
         """
-        from repro.core.evaluator_native import native_available
-
         return "native" if native_available() else "numpy"
 
+    @staticmethod
+    def _resolve(backend, **kwargs) -> str:
+        return BACKEND_REGISTRY.resolve(backend, **kwargs).name
+
     def test_known_names(self):
-        assert set(EVAL_BACKENDS) == {"auto", "python", "numpy", "native"}
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("numpy") == "numpy"  # numpy installed in CI
+        assert set(BACKEND_REGISTRY.choices()) == {"auto", "python", "numpy", "native"}
+        assert self._resolve("python") == "python"
+        assert self._resolve("numpy") == "numpy"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
-            resolve_backend("fortran")
+            self._resolve("fortran")
 
     def test_auto_prefers_python_for_tiny_instances(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         array_backend = self._auto_array_backend()
-        assert resolve_backend("auto", n_tasks=AUTO_NUMPY_MIN_TASKS - 1) == "python"
-        assert resolve_backend("auto", n_tasks=AUTO_NUMPY_MIN_TASKS) == array_backend
-        assert resolve_backend(None) == array_backend
+        assert self._resolve("auto", n_tasks=AUTO_NUMPY_MIN_TASKS - 1) == "python"
+        assert self._resolve("auto", n_tasks=AUTO_NUMPY_MIN_TASKS) == array_backend
+        assert self._resolve(None) == array_backend
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend(None, n_tasks=10_000) == "python"
-        assert resolve_backend("auto", n_tasks=10_000) == "python"
+        assert self._resolve(None, n_tasks=10_000) == "python"
+        assert self._resolve("auto", n_tasks=10_000) == "python"
         # An explicit argument wins over the environment.
-        assert resolve_backend("numpy", n_tasks=10_000) == "numpy"
+        assert self._resolve("numpy", n_tasks=10_000) == "numpy"
         monkeypatch.setenv(BACKEND_ENV_VAR, "not-a-backend")
         with pytest.raises(ValueError, match="unknown evaluation backend"):
-            resolve_backend(None)
+            self._resolve(None)
 
     def test_environment_auto_is_auto(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert resolve_backend(None, n_tasks=4) == "python"
-        assert resolve_backend(None, n_tasks=10_000) == self._auto_array_backend()
+        assert self._resolve(None, n_tasks=4) == "python"
+        assert self._resolve(None, n_tasks=10_000) == self._auto_array_backend()
+
+    def test_diagnostic_options_still_validate_the_backend(self):
+        wf = generators.chain_workflow(5, seed=1)
+        schedule = Schedule(wf, range(5), {2})
+        platform = Platform.from_platform_rate(1e-3)
+        with pytest.raises(ValueError, match="unknown evaluation backend"):
+            evaluate_schedule(
+                schedule, platform, backend="fortran", keep_probabilities=True
+            )
 
 
 # ----------------------------------------------------------------------

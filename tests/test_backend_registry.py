@@ -24,8 +24,6 @@ from repro.core.backend import (
     Backend,
     BackendRegistry,
     BackendSpec,
-    EVAL_BACKENDS,
-    resolve_backend,
 )
 
 
@@ -38,9 +36,6 @@ def _no_ambient_backend_env(monkeypatch):
 
 def _registry_with(*backends: Backend) -> BackendRegistry:
     registry = BackendRegistry()
-    # Never scan entry points in unit tests: the registry under test should
-    # contain exactly what the test registered.
-    registry._entry_points_loaded = True
     for backend in backends:
         registry.register(backend)
     return registry
@@ -62,7 +57,6 @@ def _backend(
         min_auto_tasks=min_auto_tasks,
         available=available,
         unavailable_reason=unavailable_reason,
-        evaluate=lambda *a, **k: name,  # sentinel, never a real evaluation
     )
 
 
@@ -76,21 +70,10 @@ class TestRegistration:
         with pytest.raises(ValueError, match="already registered"):
             registry.register(_backend("one"))
 
-    def test_replace_overrides(self):
-        registry = _registry_with(_backend("one", priority=1))
-        registry.register(_backend("one", priority=9), replace=True)
-        assert registry.get("one").priority == 9
-
     def test_auto_is_reserved(self):
         registry = _registry_with()
         with pytest.raises(ValueError, match="reserved"):
             registry.register(_backend("auto"))
-
-    def test_unregister(self):
-        registry = _registry_with(_backend("one"))
-        registry.unregister("one")
-        with pytest.raises(ValueError, match="unknown evaluation backend"):
-            registry.get("one")
 
     def test_names_in_auto_preference_order(self):
         registry = _registry_with(
@@ -252,13 +235,7 @@ class TestGlobalRegistry:
     def test_native_lacks_monte_carlo(self):
         native = BACKEND_REGISTRY.get("native")
         assert "monte_carlo" not in native.capabilities
-        assert {"evaluate", "batch_evaluate", "sweep"} <= native.capabilities
-
-    def test_deprecated_shims(self):
-        assert EVAL_BACKENDS == ("auto", "python", "numpy", "native")
-        assert resolve_backend("python") == "python"
-        with pytest.raises(ValueError, match="unknown evaluation backend"):
-            resolve_backend("fortran")
+        assert "evaluate" in native.capabilities
 
 
 class TestNativeFallbackWithoutToolchain:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import CycleError, Task, Workflow, WorkflowStructure
 from repro.workflows import generators
+
+try:
+    import networkx as nx
+except ImportError:  # networkx is an optional extra
+    nx = None
 
 
 def build(weights, edges, **kwargs):
@@ -207,6 +216,7 @@ class TestDerivation:
             wf.map_tasks(lambda t: t.with_index(t.index + 1))
 
 
+@pytest.mark.skipif(nx is None, reason="networkx (the 'networkx' extra) is not installed")
 class TestNetworkxInterop:
     def test_round_trip(self):
         wf = generators.layered_workflow(3, 3, seed=11).with_checkpoint_costs(
@@ -235,6 +245,23 @@ class TestNetworkxInterop:
         wf = Workflow.from_networkx(graph)
         assert wf.total_weight == pytest.approx(10.0)
         assert wf.n_edges == 1
+
+
+def test_cli_import_does_not_load_networkx():
+    """networkx is an optional extra: only the interop helpers import it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('networkx' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestEquality:

@@ -1,10 +1,10 @@
 """Native (compiled C) backend: equivalence, edge cases and diagnostics.
 
-The native kernel of :mod:`repro.core.evaluator_native` must be a pure
-performance knob, exactly like the numpy fast path: on any instance it has
-to agree with the pure-Python reference within 1e-9 relative, saturate
-overflow at the same :data:`~repro.core.expectation.OVERFLOW_EXPONENT`, and
-its sweep and one-shot entry points must be bit-for-bit identical.
+The native kernel of :mod:`repro.core.evaluator_native` must agree with
+the pure-Python reference within 1e-9 relative (not bit for bit), exactly
+like the numpy sweep engine, saturate overflow at the same
+:data:`~repro.core.expectation.OVERFLOW_EXPONENT`, and its sweep and
+one-shot evaluations must be bit-for-bit identical.
 
 Every numerical test here is skipped when no C toolchain is present —
 :mod:`tests.test_backend_registry` pins the graceful-degradation story for
@@ -222,14 +222,13 @@ class TestNativeSweep:
 
     def test_numpy_and_native_sweeps_share_instance_tables(self):
         from repro.core.sweep import _instance_tables
-        import numpy as np
 
         workflow = _chain(50)
         order = tuple(range(50))
         platform = Platform(processors=1, processor_failure_rate=1e-3, downtime=0.0)
         np_state = SweepState(workflow, order, platform, backend="numpy")
         nat_state = SweepState(workflow, order, platform, backend="native")
-        assert _instance_tables(workflow, order, np) is np_state._tables
+        assert _instance_tables(workflow, order) is np_state._tables
         assert np_state._tables is nat_state._tables
 
 
@@ -267,6 +266,5 @@ class TestBackendsCommand:
         assert payload["auto"] == "native"
         rows = {row["name"]: row for row in payload["backends"]}
         assert rows["native"]["available"] is True
-        assert rows["python"]["capabilities"] == [
-            "batch_evaluate", "evaluate", "monte_carlo", "sweep",
-        ]
+        assert rows["python"]["capabilities"] == ["evaluate", "monte_carlo"]
+        assert rows["native"]["capabilities"] == ["evaluate"]
