@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pool-level retries per chunk after a worker crash "
                                "or timeout (default 2)")
     campaign.add_argument("--unit-timeout", type=float, default=None, metavar="SECONDS",
-                          help="per-unit wall-clock budget; a stuck worker chunk "
+                          help="wall-clock budget per parallel item, i.e. per group "
+                               "of units that share a sweep; a stuck worker chunk "
                                "is killed and retried (default: none)")
     campaign.add_argument("--retry-backoff", type=float, default=0.5, metavar="SECONDS",
                           help="base of the exponential backoff between worker-pool "

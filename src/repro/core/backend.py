@@ -154,18 +154,15 @@ class Backend:
 class BackendSpec:
     """One resolved backend request, threaded through the solver layers.
 
-    Collapses what used to travel as parallel ``backend=`` /
-    ``evaluator=`` / ``sweep_evaluator=`` keyword arguments into a single
-    value: the *backend name* every evaluation of a solve should use, plus
+    Carries the *backend name* every evaluation of a solve should use, plus
     (optionally) a shared candidate-set ``evaluator`` that replaces the
-    private sweep of a checkpoint-count search (the service layer's
-    cross-request batching hook — see
-    :class:`repro.service.planner.SharedSweepScorer`).
+    private sweep of a checkpoint-count search — the only way to hand a
+    search a shared scorer (the campaign runner's groups use it, see
+    :class:`repro.runtime.runner.SharedSweepScorer`).
 
-    Every solver entry point that used to take ``backend: str | None``
-    accepts a :class:`BackendSpec` in the same position; plain strings and
-    ``None`` keep working via :meth:`coerce`.  Cache keys stay
-    backend-agnostic exactly as before — a spec never enters a key.
+    Solver entry points accept a :class:`BackendSpec` wherever they take
+    ``backend=``; plain strings and ``None`` work via :meth:`coerce`.  A
+    spec never enters a cache key.
     """
 
     backend: str | None = None

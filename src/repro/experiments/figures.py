@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..heuristics.registry import HEURISTIC_NAMES
-from .harness import ResultRow, run_grid, series_by_heuristic, wants_runtime
+from .harness import ResultRow, run_grid, series_by_heuristic
 from .scenarios import (
     DEFAULT_FAILURE_RATES,
     PAPER_TASK_COUNTS,
@@ -219,36 +219,30 @@ def figure4(
 ) -> FigureResult:
     """Figure 4: CyberShake with constant (10 s, 5 s) and small (0.01 w) checkpoints."""
     sizes = _preset_sizes(preset, sizes)
-    mode = search_mode or _search_mode(preset)
-    owned = _owned_runner(jobs, cache, progress) if runner is None else None
-    rows: list[ResultRow] = []
-    panels = []
-    try:
-        for panel, (ckpt_mode, factor, value) in {
-            "cybershake-c10": ("constant", 0.0, 10.0),
-            "cybershake-c5": ("constant", 0.0, 5.0),
-            "cybershake-0.01w": ("proportional", 0.01, 0.0),
-        }.items():
-            panels.append(panel)
-            scenarios = scenario_grid(
-                ("cybershake",),
-                sizes,
-                checkpoint_mode=ckpt_mode,
-                checkpoint_factor=factor,
-                checkpoint_value=value,
-                heuristics=LINEARIZATION_FOCUS_HEURISTICS,
-                seed=seed,
-                label=panel,
-            )
-            rows.extend(
-                run_grid(
-                    scenarios, search_mode=mode, jobs=jobs, cache=cache,
-                    progress=progress, runner=runner or owned, backend=backend,
-                )
-            )
-    finally:
-        if owned is not None:
-            owned.close()
+    panels = {
+        "cybershake-c10": ("constant", 0.0, 10.0),
+        "cybershake-c5": ("constant", 0.0, 5.0),
+        "cybershake-0.01w": ("proportional", 0.01, 0.0),
+    }
+    scenarios = [
+        scenario
+        for panel, (ckpt_mode, factor, value) in panels.items()
+        for scenario in scenario_grid(
+            ("cybershake",),
+            sizes,
+            checkpoint_mode=ckpt_mode,
+            checkpoint_factor=factor,
+            checkpoint_value=value,
+            heuristics=LINEARIZATION_FOCUS_HEURISTICS,
+            seed=seed,
+            label=panel,
+        )
+    ]
+    rows = _figure_rows(
+        scenarios, preset=preset, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, runner=runner,
+        backend=backend,
+    )
     return FigureResult(
         figure="figure4",
         description="Linearization impact for constant / small checkpoint costs (CyberShake)",
@@ -387,16 +381,6 @@ def figure7(
     )
 
 
-def _owned_runner(jobs: int | None, cache: Any, progress: Any) -> Any:
-    """A CampaignRunner for multi-sweep drivers, or ``None`` for the plain
-    serial path (so the figure functions keep their loop-free fast path)."""
-    if not wants_runtime(jobs, cache, progress):
-        return None
-    from ..runtime.runner import CampaignRunner
-
-    return CampaignRunner(jobs=jobs, cache=cache, progress=progress)
-
-
 def all_figures(
     *,
     preset: str = "smoke",
@@ -410,13 +394,14 @@ def all_figures(
 
     ``jobs``, ``cache`` and ``progress`` are forwarded to the campaign
     runtime; with a persistent cache a re-run of the same preset performs
-    zero evaluator calls (see EXPERIMENTS.md).  One worker pool is shared
-    by all eight grid sweeps (six figures; figure 4 runs three panels), so
-    pool start-up is paid once.
+    zero evaluator calls (see EXPERIMENTS.md).  One runner, and so one
+    worker pool, serves all six figure sweeps, so pool start-up is paid
+    once.
     """
-    shared = _owned_runner(jobs, cache, progress)
-    kwargs = dict(preset=preset, seed=seed, runner=shared, backend=backend)
-    try:
+    from ..runtime.runner import CampaignRunner
+
+    with CampaignRunner(jobs=jobs, cache=cache, progress=progress) as shared:
+        kwargs = dict(preset=preset, seed=seed, runner=shared, backend=backend)
         return {
             "figure2": figure2(**kwargs),
             "figure3": figure3(**kwargs),
@@ -425,6 +410,3 @@ def all_figures(
             "figure6": figure6(**kwargs),
             "figure7": figure7(**kwargs),
         }
-    finally:
-        if shared is not None:
-            shared.close()

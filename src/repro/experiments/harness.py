@@ -6,25 +6,22 @@ checkpoint-free makespan).  Results are plain dataclass rows so they can be
 rendered to CSV / markdown by :mod:`repro.experiments.reporting` or
 post-processed with numpy.
 
-The unit of work is :func:`run_heuristic` — one (scenario instance,
-heuristic) pair.  Each unit draws from its own
-:func:`~repro.heuristics.registry.heuristic_rng` stream, so units are
-independent of each other and of execution order: the serial loops here and
-the parallel :class:`~repro.runtime.runner.CampaignRunner` produce exactly
-the same rows.  ``run_grid`` accepts ``jobs`` / ``cache`` and routes through
-the runtime whenever either is requested; see EXPERIMENTS.md for usage.
+Every entry point here is a call into the campaign runner
+(:class:`~repro.runtime.runner.CampaignRunner`), the one solve core:
+:func:`run_heuristic` runs one (scenario instance, heuristic) unit,
+:func:`run_scenario` one scenario and :func:`run_grid` several.  Each unit
+draws from its own :func:`~repro.heuristics.registry.heuristic_rng` stream,
+and units of one instance and linearization share a sweep without changing
+any value, so rows do not depend on what else runs alongside them, on
+``jobs`` or on the cache.  See EXPERIMENTS.md for usage.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..core.dag import Workflow
-from ..heuristics.registry import heuristic_rng, parse_heuristic_name, solve_heuristic
-from ..heuristics.search import SEARCH_MODES, candidate_counts
-from .scenarios import Scenario, build_workflow
+from .scenarios import Scenario
 
 __all__ = [
     "ResultRow",
@@ -34,19 +31,7 @@ __all__ = [
     "run_grid",
     "best_by_strategy",
     "series_by_heuristic",
-    "wants_runtime",
 ]
-
-
-def wants_runtime(jobs: int | None, cache: Any, progress: Any) -> bool:
-    """Whether these options require the campaign runtime.
-
-    The single source of truth for the serial-fast-path predicate shared by
-    :func:`run_grid` and the figure drivers.  ``progress=False`` means
-    "silent" (mirroring :func:`repro.runtime.progress.coerce_progress`), so
-    it keeps the fast path just like ``None``.
-    """
-    return not (jobs == 1 and cache is None and progress in (None, False))
 
 
 @dataclass(frozen=True)
@@ -82,69 +67,29 @@ def run_heuristic(
     *,
     search_mode: str = "exhaustive",
     max_candidates: int = 30,
-    workflow: Workflow | None = None,
     backend: str | None = None,
 ) -> ResultRow:
     """Evaluate one heuristic on one scenario instance; returns its row.
 
-    This is the campaign runtime's work unit.  ``workflow`` lets callers
-    reuse an already-generated instance (the runner memoizes one per
-    scenario instance and process); when omitted it is built from the
-    scenario.  The heuristic's random stream is derived from
+    A one-unit call into the campaign runner, in-process and without a
+    cache.  The heuristic's random stream is derived from
     ``(scenario.seed, heuristic)`` alone, so the result does not depend on
     what else runs in the same process.  ``backend`` selects the evaluation
-    backend (any registered name or a
-    :class:`~repro.core.backend.BackendSpec`); all backends produce rows
-    that agree within floating-point noise, so cache keys ignore it.
+    backend (any registered name); all backends produce rows that agree
+    within floating-point noise, so cache keys ignore it.
     """
-    # Validate eagerly: CkptNvr/CkptAlws never consume the candidate counts,
-    # but a typoed search_mode must not pass silently (nor reach cache keys).
-    if search_mode not in SEARCH_MODES:
-        raise ValueError(
-            f"unknown search mode {search_mode!r}; expected one of {SEARCH_MODES}"
-        )
-    if workflow is None:
-        workflow = build_workflow(scenario)
-    platform = scenario.platform
-    linearization, strategy = parse_heuristic_name(heuristic)
-    counts = (
-        None
-        if strategy in ("CkptNvr", "CkptAlws")
-        else candidate_counts(
-            workflow.n_tasks, mode=search_mode, max_candidates=max_candidates
-        )
-    )
-    start = time.perf_counter()
-    result = solve_heuristic(
-        workflow,
-        platform,
-        heuristic,
-        rng=heuristic_rng(scenario.seed, heuristic),
-        counts=counts,
+    from ..runtime.runner import CampaignRunner, WorkUnit
+
+    unit = WorkUnit(
+        scenario=scenario,
+        heuristic=heuristic,
+        search_mode=search_mode,
+        max_candidates=max_candidates,
         backend=backend,
     )
-    elapsed = time.perf_counter() - start
-    evaluation = result.evaluation
-    return ResultRow(
-        label=scenario.label,
-        family=scenario.family,
-        n_tasks=scenario.n_tasks,
-        actual_n_tasks=workflow.n_tasks,
-        failure_rate=scenario.failure_rate,
-        checkpoint_mode=scenario.checkpoint_mode,
-        checkpoint_parameter=scenario.checkpoint_parameter,
-        heuristic=heuristic,
-        linearization=linearization,
-        checkpoint_strategy=strategy,
-        n_checkpointed=result.checkpoint_count,
-        expected_makespan=evaluation.expected_makespan,
-        failure_free_work=evaluation.failure_free_work,
-        overhead_ratio=evaluation.overhead_ratio,
-        solve_seconds=elapsed,
-        seed=scenario.seed,
-        downtime=scenario.downtime,
-        processors=scenario.processors,
-    )
+    with CampaignRunner() as runner:
+        (row,) = runner.run_units([unit])
+    return row
 
 
 def run_scenario(
@@ -168,18 +113,12 @@ def run_scenario(
     max_candidates:
         Budget for the ``"geometric"`` mode.
     """
-    workflow = build_workflow(scenario)
-    return [
-        run_heuristic(
-            scenario,
-            heuristic,
-            search_mode=search_mode,
-            max_candidates=max_candidates,
-            workflow=workflow,
-            backend=backend,
-        )
-        for heuristic in scenario.heuristics
-    ]
+    return run_grid(
+        [scenario],
+        search_mode=search_mode,
+        max_candidates=max_candidates,
+        backend=backend,
+    )
 
 
 def run_grid(
@@ -202,11 +141,10 @@ def run_grid(
     (``jobs`` / ``cache`` / ``progress`` are then taken from the runner
     too, which also reuses its cache and worker pool across grids).
 
-    ``jobs`` and ``cache`` route the grid through the campaign runtime:
-    ``jobs > 1`` fans the (scenario × heuristic) units out over a process
-    pool, and a :class:`~repro.runtime.cache.ResultCache` answers repeated
-    units without any evaluator call.  The default (``jobs=1``, no cache)
-    is the plain serial loop; both paths produce identical rows.
+    ``jobs > 1`` fans the groups of (scenario × heuristic) units that share
+    a sweep out over a process pool, and a
+    :class:`~repro.runtime.cache.ResultCache` answers repeated units
+    without any evaluator call; every configuration produces the same rows.
     """
     if runner is not None:
         return runner.run_rows(
@@ -215,29 +153,13 @@ def run_grid(
             max_candidates=max_candidates,
             backend=backend,
         )
-    search_mode = "exhaustive" if search_mode is None else search_mode
-    max_candidates = 30 if max_candidates is None else max_candidates
-
-    if not wants_runtime(jobs, cache, progress):
-        rows: list[ResultRow] = []
-        for scenario in scenarios:
-            rows.extend(
-                run_scenario(
-                    scenario,
-                    search_mode=search_mode,
-                    max_candidates=max_candidates,
-                    backend=backend,
-                )
-            )
-        return rows
-
     from ..runtime.runner import CampaignRunner
 
     with CampaignRunner(
         jobs=jobs,
         cache=cache,
-        search_mode=search_mode,
-        max_candidates=max_candidates,
+        search_mode="exhaustive" if search_mode is None else search_mode,
+        max_candidates=30 if max_candidates is None else max_candidates,
         progress=progress,
         backend=backend,
     ) as owned:

@@ -119,7 +119,6 @@ def solve_heuristic(
     rng: np.random.Generator | int | None = None,
     counts: "list[int] | tuple[int, ...] | None" = None,
     backend: str | BackendSpec | None = None,
-    sweep_evaluator=None,
 ) -> HeuristicResult:
     """Run one named heuristic end to end.
 
@@ -146,23 +145,16 @@ def solve_heuristic(
         Backend name (``"auto"`` / ``"python"`` / ``"numpy"`` /
         ``"native"``) or :class:`~repro.core.backend.BackendSpec` used for
         every schedule scoring; see
-        :meth:`repro.core.backend.BackendRegistry.resolve`.
-    sweep_evaluator:
-        Optional shared candidate-set evaluator forwarded to
-        :func:`~repro.heuristics.search.search_checkpoint_count` (the
-        service layer's cross-request batching hook).  Ignored by the
-        search-free strategies ``CkptNvr`` / ``CkptAlws``.  Equivalent to
-        the ``evaluator`` field of a :class:`BackendSpec` passed as
-        ``backend`` (the explicit argument wins when both are given).
+        :meth:`repro.core.backend.BackendRegistry.resolve`.  A spec's
+        ``evaluator`` is forwarded to
+        :func:`~repro.heuristics.search.search_checkpoint_count`; the
+        search-free strategies ``CkptNvr`` / ``CkptAlws`` ignore it.
 
     Returns
     -------
     HeuristicResult
     """
     spec = BackendSpec.coerce(backend)
-    if sweep_evaluator is None:
-        sweep_evaluator = spec.evaluator
-    backend = spec.backend
     linearization, strategy = parse_heuristic_name(heuristic)
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         rng = heuristic_rng(int(rng), heuristic)
@@ -175,7 +167,7 @@ def solve_heuristic(
             else frozenset(range(workflow.n_tasks))
         )
         schedule = Schedule(workflow, order, selected)
-        evaluation = evaluate_schedule(schedule, platform, backend=backend)
+        evaluation = evaluate_schedule(schedule, platform, backend=spec.backend)
         return HeuristicResult(
             heuristic=heuristic,
             linearization=linearization,
@@ -187,8 +179,7 @@ def solve_heuristic(
 
     selector = get_selector(strategy)
     search = search_checkpoint_count(
-        workflow, order, platform, selector, counts=counts, backend=backend,
-        evaluator=sweep_evaluator,
+        workflow, order, platform, selector, counts=counts, backend=spec
     )
     return HeuristicResult(
         heuristic=heuristic,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..core.backend import BackendSpec
 from ..core.dag import Workflow
@@ -114,7 +114,6 @@ def search_checkpoint_count(
     counts: Iterable[int] | None = None,
     include_zero: bool = True,
     backend: str | BackendSpec | None = None,
-    evaluator: "Callable[[frozenset[int]], MakespanEvaluation] | None" = None,
 ) -> CheckpointCountSearch:
     """Find the checkpoint count minimising the expected makespan.
 
@@ -137,29 +136,22 @@ def search_checkpoint_count(
         candidate sets over the shared linearization in one incremental
         sweep (the selectors' top-``N`` sets are nested, so consecutive
         candidates differ by single checkpoint additions and only the
-        invalidated suffix is recomputed).  A spec's ``evaluator`` field
-        plays the same role as the ``evaluator`` argument below.
-    evaluator:
-        Optional replacement for the private sweep: a callable
-        ``frozenset -> MakespanEvaluation`` scoring a checkpoint set over
-        *this* instance and linearization.  The service layer passes one
-        shared :class:`~repro.service.planner.SharedSweepScorer` here so
-        concurrent searches over the same linearization ride a single
-        :class:`~repro.core.sweep.SweepState` (sweep evaluations are
-        order-independent, so sharing cannot change any value).  When the
-        callable exposes an ``order`` attribute it must match this search's
-        linearization.  Equivalent to passing
-        ``BackendSpec(evaluator=...)`` as ``backend`` (the explicit
-        argument wins when both are given).
+        invalidated suffix is recomputed).  A spec's ``evaluator``, a
+        callable ``frozenset -> MakespanEvaluation`` scoring a checkpoint
+        set over *this* instance and linearization, replaces the private
+        sweep: the campaign runner passes one
+        :class:`~repro.runtime.runner.SharedSweepScorer` to every search of
+        a group, so they ride a single :class:`~repro.core.sweep.SweepState`
+        (sweep evaluations are order-independent, so sharing cannot change
+        any value).  When the callable exposes an ``order`` attribute it
+        must match this search's linearization.
 
     Returns
     -------
     CheckpointCountSearch
     """
     spec = BackendSpec.coerce(backend)
-    if evaluator is None:
-        evaluator = spec.evaluator
-    backend = spec.backend
+    evaluator, backend = spec.evaluator, spec.backend
     order = tuple(order)
     if evaluator is not None:
         evaluator_order = getattr(evaluator, "order", None)

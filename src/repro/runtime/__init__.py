@@ -7,8 +7,9 @@ through:
 * :mod:`repro.runtime.cache` — in-memory LRU + optional sqlite persistence;
 * :mod:`repro.runtime.parallel` — deterministic process-pool map with a
   serial fallback;
-* :mod:`repro.runtime.runner` — the :class:`CampaignRunner` fanning
-  (scenario × seed × heuristic) units out across workers;
+* :mod:`repro.runtime.runner` — the solve core shared by campaigns,
+  figures and the service, and the :class:`CampaignRunner` fanning groups
+  of (scenario × seed × heuristic) units out across workers;
 * :mod:`repro.runtime.progress` — lightweight progress/throughput reporting.
 
 ``runner`` is re-exported lazily: it depends on :mod:`repro.experiments`,

@@ -30,22 +30,29 @@ Reserved parameter keys:
 Every other ``key=value`` pair is a *context match*: the clause only fires
 when the fault point was invoked with a context value whose ``str()`` equals
 ``value`` — e.g. ``worker_crash:unit=3`` targets the worker iteration of
-unit index 3 only, and ``worker_crash:unit=3,attempt=1`` additionally spares
-the retry, modelling a transient crash.
+parallel item 3 only, and ``worker_crash:unit=3,attempt=1`` additionally
+spares the retry, modelling a transient crash.  In a campaign a parallel
+item is a *group* of units that share a sweep (see
+:mod:`repro.runtime.runner`), so ``worker_crash:unit=`` and
+``chunk_timeout:unit=`` count groups, not units; ``campaign_unit:unit=``
+counts units.
 
 Fault points registered across the tree:
 
 ===================  =================================================  ==================
 site                 where                                              default action
 ===================  =================================================  ==================
-``worker_crash``     per unit in :func:`~repro.runtime.parallel         ``exit=137``
-                     .parallel_map` workers (and the serial loop)
-``chunk_timeout``    same place, before the unit runs                   ``sleep=30``
+``worker_crash``     per item in :func:`~repro.runtime.parallel         ``exit=137``
+                     .parallel_map` workers (and the serial loop); a
+                     campaign's items are groups of units
+``chunk_timeout``    same place, before the item runs                   ``sleep=30``
 ``cache_open``       :class:`~repro.runtime.cache.DiskCache` open       ``raise=DatabaseError``
 ``cache_read``       every :meth:`DiskCache.get`                        ``raise=DatabaseError``
 ``campaign_unit``    parent-side, after a completed unit is             ``exit=137``
                      journaled/cached in ``CampaignRunner._run_cached``
-``service_group``    :func:`repro.service.planner._solve_group`         ``raise=RuntimeError``
+``service_group``    the service planner, before it solves a group      ``raise=RuntimeError``
+                     (``repro.service.planner._solve_service_group``);
+                     campaigns never reach it
 ``lease_grant``      :meth:`repro.runtime.leases.LeaseQueue.grant`,     ``raise=OSError``
                      after a shard is selected, before it is leased
 ``lease_renew``      :meth:`repro.runtime.leases.LeaseQueue.renew`      ``raise=OSError``

@@ -15,8 +15,10 @@ properties the campaign runtime needs:
   chunk (``unit_timeout``) resets the pool and retries the affected chunks
   with bounded exponential backoff, bisecting multi-unit chunks so a poison
   unit is isolated in ``O(log chunksize)`` resets instead of sinking its
-  chunk-mates; a unit that keeps killing workers is *quarantined* (when the
-  caller opts in) rather than aborting everything else;
+  chunk-mates; a dead worker is blamed on a chunk only when that chunk ran
+  alone, so chunks that merely ran beside it are never charged an attempt;
+  a unit that keeps killing workers is *quarantined* (when the caller opts
+  in) rather than aborting everything else;
 * **structured failures** — instead of an opaque traceback from the bowels
   of ``concurrent.futures``, a failed unit surfaces as
   :class:`WorkerFailure` carrying the unit index, attempt count and the
@@ -204,6 +206,9 @@ class _Chunk:
 
     indices: tuple[int, ...]
     attempt: int = 1
+    #: It was running when a worker died beside other chunks, so whether
+    #: its own worker died is unknown: it next runs alone, which settles it.
+    suspect: bool = False
 
 
 class _WaveAbort(Exception):
@@ -514,10 +519,11 @@ def _run_wave(
 ) -> None:
     """Drain the queue on one pool; raise :class:`_WaveAbort` if it dies.
 
-    Dispatch is a sliding window of at most ``n_jobs`` chunks, so every
-    submitted chunk starts executing immediately — which is what makes the
-    per-chunk deadline (``len(chunk) * unit_timeout`` from submission) an
-    honest measure of compute time rather than queue time.
+    Dispatch is a sliding window of at most ``n_jobs`` chunks (a suspect
+    chunk runs alone), so every submitted chunk starts executing
+    immediately — which is what makes the per-chunk deadline
+    (``len(chunk) * unit_timeout`` from submission) an honest measure of
+    compute time rather than queue time.
     """
     inflight: dict[Future, _Chunk] = {}
     deadlines: dict[Future, float] = {}
@@ -533,6 +539,10 @@ def _run_wave(
 
     while queue or inflight:
         while queue and len(inflight) < n_jobs:
+            if inflight and (
+                queue[0].suspect or any(c.suspect for c in inflight.values())
+            ):
+                break  # a suspect runs alone
             chunk = queue.popleft()
             payload = (fn, [units[i] for i in chunk.indices], chunk.indices, chunk.attempt)
             try:
@@ -572,18 +582,15 @@ def _run_wave(
             try:
                 tagged = future.result()
             except BrokenProcessPool as exc:
-                # The pool is gone: every sibling future broke with it.
-                # All of them are suspects (attribution is impossible), so
-                # all escalate — bisection sorts the innocent out cheaply.
-                guilty = [chunk]
-                for sibling in list(inflight):
-                    if sibling.done() and not sibling.cancelled():
-                        try:
-                            sibling.result()
-                        except BrokenProcessPool:
-                            guilty.append(inflight.pop(sibling))
-                            deadlines.pop(sibling, None)
-                        except Exception:
-                            pass
-                abort("crash", str(exc) or "worker process died unexpectedly", guilty)
+                message = str(exc) or "worker process died unexpectedly"
+                if not inflight:
+                    # It ran alone, so the dead worker was its own.
+                    abort("crash", message, [chunk])
+                # The pool is gone and every sibling broke with it; which
+                # worker died cannot be told, so no chunk is charged: each
+                # reruns alone at the same attempt, which settles it.
+                for suspect in (chunk, *inflight.values()):
+                    suspect.suspect = True
+                queue.append(chunk)
+                abort("crash", message, [])
             deliver(chunk, tagged)

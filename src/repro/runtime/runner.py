@@ -1,21 +1,35 @@
-"""Campaign runner: fan work units out across workers, feed the cache.
+"""Campaign runner: the one solve core of campaigns, figures and the service.
 
 The runtime decomposes a campaign into *work units* — one
 ``(scenario instance, heuristic)`` pair each, where the scenario instance
 already carries its seed.  Units are independent by construction (each
 heuristic draws from its own ``(seed, heuristic)``-derived random stream,
-see :func:`repro.heuristics.registry.heuristic_rng`), so the runner can:
+see :func:`repro.heuristics.registry.heuristic_rng`).  Whoever asks for a
+unit — :class:`CampaignRunner` for campaigns and figures, the service's
+:class:`~repro.service.planner.ServicePlanner` for requests — it takes the
+same two steps:
 
-* answer units from the :class:`~repro.runtime.cache.ResultCache` without
-  any evaluator call (only the cheap workflow construction is repeated, to
-  fingerprint the instance content-addressably);
-* fan the remaining units out over a process pool via
-  :func:`~repro.runtime.parallel.parallel_map`, gathering results in input
-  order — aggregates of a ``jobs=4`` run are bit-for-bit those of the
-  serial run;
-* reuse per-instance DAG construction: both the parent and every worker
-  memoize the generated workflow per scenario instance, so the 14
-  heuristics of one scenario share one generator call per process.
+* :func:`plan_unit` keys it (the unchanged
+  :func:`~repro.runtime.keys.scenario_unit_key`), fixes its candidate
+  counts and names its *group*: units of one instance and linearization
+  share a sweep;
+* :func:`solve_group` computes one group: the count searches of its units
+  price their candidate sets through one :class:`SharedSweepScorer`, i.e.
+  one :class:`~repro.core.sweep.SweepState` pass instead of one per unit.
+
+Sharing a sweep cannot change any value: sweep evaluations are
+order-independent, the scorer memoises by exact checkpoint set, and each
+search re-evaluates its winner through the plain evaluator — so every
+outcome is bit-for-bit the direct
+:func:`~repro.heuristics.registry.solve_heuristic` result.
+
+:class:`CampaignRunner` answers units from its journal and the
+:class:`~repro.runtime.cache.ResultCache` without any evaluator call (only
+the cheap workflow construction is repeated, to fingerprint the instance
+content-addressably), then fans the groups of the remaining units out over
+a process pool via :func:`~repro.runtime.parallel.parallel_map` — a
+parallel item is a group, not a unit — gathering results in input order:
+aggregates of a ``jobs=4`` run are bit-for-bit those of the serial run.
 
 Result rows come back as :class:`~repro.experiments.harness.ResultRow`.
 Only the *outcome* fields of a row are cached; identity fields (label,
@@ -27,23 +41,32 @@ labeling.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
-from ..core.backend import BACKEND_REGISTRY
+from ..core.backend import BACKEND_REGISTRY, BackendSpec
 from ..core.evaluator import MakespanEvaluation, evaluate_schedule
 from ..core.dag import Workflow
 from ..core.hashing import stable_seed_words
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from ..experiments.harness import ResultRow, run_heuristic
+from ..core.sweep import SweepState
+from ..experiments.harness import ResultRow
 from ..experiments.scenarios import Scenario, build_workflow
+from ..heuristics.linearization import linearize
 from ..heuristics.registry import heuristic_rng, parse_heuristic_name, solve_heuristic
 from ..heuristics.search import SEARCH_MODES, candidate_counts
 from .cache import LRUCache, ResultCache
 from .faults import fault_point
 from .journal import CampaignJournal
-from .keys import evaluation_key, monte_carlo_key, robustness_unit_key, scenario_unit_key
+from .keys import (
+    evaluation_key,
+    monte_carlo_key,
+    platform_fingerprint,
+    robustness_unit_key,
+    scenario_unit_key,
+)
 from .parallel import WorkerFailure, dispose_executor, parallel_map, resolve_jobs
 from .progress import coerce_progress
 
@@ -54,8 +77,13 @@ __all__ = [
     "WorkUnit",
     "MonteCarloUnit",
     "UnitFailure",
+    "PlannedUnit",
+    "SolvedGroup",
+    "SharedSweepScorer",
     "CampaignRunner",
     "expand_work_units",
+    "plan_unit",
+    "solve_group",
     "evaluate_schedule_cached",
     "run_monte_carlo_cached",
 ]
@@ -66,8 +94,8 @@ class WorkUnit:
     """One independent (scenario instance, heuristic) computation.
 
     ``backend`` selects the evaluation backend used to *compute* the unit;
-    it deliberately stays out of the cache key (see :meth:`CampaignRunner._unit_key`)
-    because both backends produce equivalent rows.
+    it deliberately stays out of the cache key (see :func:`plan_unit`)
+    because all backends produce equivalent rows.
     """
 
     scenario: Scenario
@@ -137,19 +165,71 @@ class UnitFailure:
         )
 
 
-#: Fields of a ResultRow that are computed (and therefore cached); the
-#: remaining fields are re-stamped from the requesting work unit, including
-#: ``linearization``/``checkpoint_strategy`` (pure functions of the
-#: heuristic name).  ``solve_seconds`` is deliberately absent: it is a
-#: wall-clock measurement of the machine that computed the row, so a cache
-#: hit reports 0.0 rather than presenting someone else's timing as its own.
-_OUTCOME_FIELDS = (
-    "actual_n_tasks",
-    "n_checkpointed",
-    "expected_makespan",
-    "failure_free_work",
-    "overhead_ratio",
-)
+@dataclass(frozen=True)
+class PlannedUnit:
+    """A unit ready to be looked up and solved (see :func:`plan_unit`).
+
+    ``unit`` is the :class:`WorkUnit` (or :class:`MonteCarloUnit`) itself,
+    ``key`` its cache and journal key, ``counts`` the candidate counts of
+    its search (``None`` for CkptNvr/CkptAlws, which do not search), and
+    ``group`` names the units that share one sweep.
+    """
+
+    unit: Any
+    key: str
+    counts: tuple[int, ...] | None
+    group: Hashable
+
+
+@dataclass(frozen=True)
+class SolvedGroup:
+    """What :func:`solve_group` computed, one entry per unit in group order."""
+
+    #: Cacheable outcome payload of each unit (what journals and caches store).
+    outcomes: list[dict[str, Any]]
+    #: Schedule of each unit: ``{"order": [...], "checkpointed": [...]}``.
+    schedules: list[dict[str, list[int]]]
+    #: Wall time of each unit's own ``solve_heuristic`` call.
+    seconds: list[float]
+    #: Sweep passes the group ran (0 or 1), and the distinct sets they priced.
+    sweep_passes: int
+    evaluations: int
+
+
+class SharedSweepScorer:
+    """One incremental sweep shared by the count searches of a group.
+
+    Wraps a :class:`~repro.core.sweep.SweepState` over one (workflow,
+    linearization, platform) and memoises evaluations by exact checkpoint
+    set, so the searches of one group cost one sweep pass and each
+    *distinct* candidate set is priced exactly once.  ``order`` is exposed
+    so :func:`~repro.heuristics.search.search_checkpoint_count` can verify
+    the scorer matches its linearization.
+    """
+
+    def __init__(
+        self,
+        workflow: Workflow,
+        order: Sequence[int],
+        platform: Platform,
+        *,
+        backend: str | None = None,
+    ) -> None:
+        self.order = tuple(order)
+        self._sweep = SweepState(workflow, self.order, platform, backend=backend)
+        self._memo: dict[frozenset[int], MakespanEvaluation] = {}
+        #: Underlying sweep evaluations (memo misses) performed so far.
+        self.evaluations = 0
+
+    def __call__(self, selected: frozenset[int]) -> MakespanEvaluation:
+        selected = frozenset(selected)
+        evaluation = self._memo.get(selected)
+        if evaluation is None:
+            evaluation = self._sweep.evaluate(selected, keep_task_times=False)
+            self._memo[selected] = evaluation
+            self.evaluations += 1
+        return evaluation
+
 
 # Per-process memo of generated workflow instances (and their content
 # digests), so that the heuristics of one scenario share a single generator
@@ -183,25 +263,171 @@ def _memoized_instance(scenario: Scenario, *, digest: bool = False) -> tuple[Wor
     return workflow, fingerprint
 
 
-def _memoized_workflow(scenario: Scenario) -> Workflow:
-    return _memoized_instance(scenario)[0]
+def _search_plan(
+    unit: WorkUnit | MonteCarloUnit, strategy: str, n_tasks: int
+) -> tuple[str, int, tuple[int, ...] | None]:
+    """A unit's keyed search mode and budget, and its candidate counts.
+
+    CkptNvr/CkptAlws never search: they take no counts, and their results,
+    identical under every search configuration, key as ``("none", 0)`` so
+    that e.g. a geometric sweep warms the baselines of a later exhaustive
+    one.
+    """
+    # Validated before any cache lookup, so that a warm cache rejects
+    # exactly the typoed modes a cold one rejects.
+    if unit.search_mode not in SEARCH_MODES:
+        raise ValueError(
+            f"unknown search mode {unit.search_mode!r}; expected one of {SEARCH_MODES}"
+        )
+    if strategy in ("CkptNvr", "CkptAlws"):
+        return "none", 0, None
+    counts = candidate_counts(
+        n_tasks, mode=unit.search_mode, max_candidates=unit.max_candidates
+    )
+    search_mode, max_candidates = unit.search_mode, unit.max_candidates
+    if search_mode == "geometric" and n_tasks <= max_candidates:
+        # The budget covers every count, so the geometric candidate set
+        # degenerates to the exhaustive one.
+        search_mode = "exhaustive"
+    if search_mode == "exhaustive":
+        # candidate_counts ignores the budget in exhaustive mode, so keying
+        # on it would only create spurious misses.
+        max_candidates = 0
+    return search_mode, max_candidates, counts
 
 
-def _solve_unit(unit: WorkUnit) -> ResultRow:
-    """Worker entry point: solve one unit (module-level, hence picklable)."""
-    workflow = _memoized_workflow(unit.scenario)
-    return run_heuristic(
-        unit.scenario,
-        unit.heuristic,
-        search_mode=unit.search_mode,
-        max_candidates=unit.max_candidates,
-        workflow=workflow,
-        backend=unit.backend,
+def plan_unit(unit: WorkUnit) -> PlannedUnit:
+    """Key a unit, fix its candidate counts and name its sweep group.
+
+    The key is :func:`~repro.runtime.keys.scenario_unit_key`; the backend
+    stays out of it, so a cache warmed by one backend serves every backend.
+    The group is (workflow fingerprint, platform, linearization, backend):
+    units of one instance and linearization share a sweep.  RF draws its
+    order from the ``(seed, heuristic)`` stream, so an RF group also
+    carries both.
+    """
+    workflow, fingerprint = _memoized_instance(unit.scenario, digest=True)
+    linearization, strategy = parse_heuristic_name(unit.heuristic)
+    search_mode, max_candidates, counts = _search_plan(unit, strategy, workflow.n_tasks)
+    platform = unit.scenario.platform
+    key = scenario_unit_key(
+        workflow_digest=fingerprint,
+        platform=platform,
+        heuristic=unit.heuristic,
+        search_mode=search_mode,
+        max_candidates=max_candidates,
+        seed=unit.scenario.seed,
+    )
+    group: tuple = (fingerprint, platform_fingerprint(platform), linearization, unit.backend)
+    if linearization == "RF":
+        group += (unit.scenario.seed, unit.heuristic)
+    return PlannedUnit(unit=unit, key=key, counts=counts, group=group)
+
+
+def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
+    """Solve one group of planned units (module-level, hence picklable).
+
+    The units share workflow content, platform, linearization and backend
+    (see :func:`plan_unit`), so every count search among them prices its
+    candidate sets through one :class:`SharedSweepScorer`.
+    """
+    first = plans[0].unit
+    workflow, _ = _memoized_instance(first.scenario)
+    platform = first.scenario.platform
+    scorer: SharedSweepScorer | None = None
+    outcomes: list[dict[str, Any]] = []
+    schedules: list[dict[str, list[int]]] = []
+    seconds: list[float] = []
+    for plan in plans:
+        unit = plan.unit
+        if plan.counts is not None and scorer is None:
+            linearization, _ = parse_heuristic_name(unit.heuristic)
+            order = linearize(
+                workflow,
+                linearization,
+                rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
+            )
+            scorer = SharedSweepScorer(workflow, order, platform, backend=unit.backend)
+        start = time.perf_counter()
+        result = solve_heuristic(
+            workflow,
+            platform,
+            unit.heuristic,
+            rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
+            counts=plan.counts,
+            backend=BackendSpec(backend=unit.backend, evaluator=scorer),
+        )
+        seconds.append(time.perf_counter() - start)
+        # The wall-clock time stays out of the outcome: it describes the
+        # machine that computed the unit, so a cache hit reports 0.0 rather
+        # than presenting someone else's timing as its own.
+        outcomes.append(
+            {
+                "actual_n_tasks": workflow.n_tasks,
+                "n_checkpointed": result.checkpoint_count,
+                "expected_makespan": result.expected_makespan,
+                "failure_free_work": result.evaluation.failure_free_work,
+                "overhead_ratio": result.overhead_ratio,
+            }
+        )
+        schedules.append(
+            {
+                "order": list(result.schedule.order),
+                "checkpointed": sorted(result.schedule.checkpointed),
+            }
+        )
+    return SolvedGroup(
+        outcomes=outcomes,
+        schedules=schedules,
+        seconds=seconds,
+        sweep_passes=0 if scorer is None else 1,
+        evaluations=0 if scorer is None else scorer.evaluations,
     )
 
 
-def _solve_mc_unit(unit: MonteCarloUnit) -> dict[str, Any]:
-    """Worker entry point: solve + simulate one Monte-Carlo unit.
+def _solve_campaign_group(
+    plans: Sequence[PlannedUnit],
+) -> list[tuple[dict[str, Any], float]]:
+    """Worker entry point of a campaign group: ``(outcome, seconds)`` per unit.
+
+    A campaign keeps no schedules, so they do not travel back from workers.
+    """
+    solved = solve_group(plans)
+    return list(zip(solved.outcomes, solved.seconds))
+
+
+def _plan_mc_unit(unit: MonteCarloUnit) -> PlannedUnit:
+    """Plan a Monte-Carlo unit as a group of its own.
+
+    Keyed backend-agnostic like :func:`plan_unit` — here that is exact
+    rather than within floating-point noise: the two Monte-Carlo engines
+    produce bit-for-bit identical samples.
+    """
+    workflow, fingerprint = _memoized_instance(unit.scenario, digest=True)
+    _, strategy = parse_heuristic_name(unit.heuristic)
+    search_mode, max_candidates, counts = _search_plan(unit, strategy, workflow.n_tasks)
+    key = robustness_unit_key(
+        workflow_digest=fingerprint,
+        platform=unit.scenario.platform,
+        heuristic=unit.heuristic,
+        search_mode=search_mode,
+        max_candidates=max_candidates,
+        seed=unit.scenario.seed,
+        failure_spec=unit.resolved_failure_spec(),
+        n_runs=unit.n_runs,
+        mc_seed=unit.mc_seed,
+        checkpoint_overlap=unit.checkpoint_overlap,
+    )
+    return PlannedUnit(unit=unit, key=key, counts=counts, group=(key,))
+
+
+def _solve_mc_group(plans: Sequence[PlannedUnit]) -> list[tuple[dict[str, Any], float]]:
+    """Worker entry point of a Monte-Carlo group: ``(outcome, 0.0)`` per unit."""
+    return [(_solve_mc_unit(plan), 0.0) for plan in plans]
+
+
+def _solve_mc_unit(plan: PlannedUnit) -> dict[str, Any]:
+    """Solve + simulate one Monte-Carlo unit.
 
     Returns the unit's *outcome* — a plain JSON-able dict, which is also
     exactly what the cache stores.  Identity fields (family, law label, ...)
@@ -212,22 +438,15 @@ def _solve_mc_unit(unit: MonteCarloUnit) -> dict[str, Any]:
     from ..simulation import run_monte_carlo
     from ..simulation.failures import failure_model_from_spec
 
-    workflow = _memoized_workflow(unit.scenario)
+    unit = plan.unit
+    workflow, _ = _memoized_instance(unit.scenario)
     platform = unit.scenario.platform
-    _, strategy = parse_heuristic_name(unit.heuristic)
-    counts = (
-        None
-        if strategy in ("CkptNvr", "CkptAlws")
-        else candidate_counts(
-            workflow.n_tasks, mode=unit.search_mode, max_candidates=unit.max_candidates
-        )
-    )
     result = solve_heuristic(
         workflow,
         platform,
         unit.heuristic,
         rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
-        counts=counts,
+        counts=plan.counts,
         backend=unit.backend,
     )
     schedule = result.schedule
@@ -267,11 +486,7 @@ def _solve_mc_unit(unit: MonteCarloUnit) -> dict[str, Any]:
     }
 
 
-def _row_outcome(row: ResultRow) -> dict[str, Any]:
-    return {name: getattr(row, name) for name in _OUTCOME_FIELDS}
-
-
-def _row_from_outcome(unit: WorkUnit, outcome: dict[str, Any]) -> ResultRow:
+def _row_from_outcome(unit: WorkUnit, outcome: dict[str, Any], seconds: float) -> ResultRow:
     scenario = unit.scenario
     linearization, strategy = parse_heuristic_name(unit.heuristic)
     return ResultRow(
@@ -289,35 +504,11 @@ def _row_from_outcome(unit: WorkUnit, outcome: dict[str, Any]) -> ResultRow:
         expected_makespan=float(outcome["expected_makespan"]),
         failure_free_work=float(outcome["failure_free_work"]),
         overhead_ratio=float(outcome["overhead_ratio"]),
-        solve_seconds=0.0,
+        solve_seconds=seconds,
         seed=scenario.seed,
         downtime=scenario.downtime,
         processors=scenario.processors,
     )
-
-
-def _normalized_search(
-    heuristic: str, n_tasks: int, search_mode: str, max_candidates: int
-) -> tuple[str, int]:
-    """Normalize the search-configuration components of a cache key.
-
-    CkptNvr/CkptAlws never consume the candidate counts, so their results
-    are identical under every search configuration; normalizing those key
-    components lets e.g. a geometric sweep warm the baselines of a later
-    exhaustive one.
-    """
-    _, strategy = parse_heuristic_name(heuristic)
-    if strategy in ("CkptNvr", "CkptAlws"):
-        return "none", 0
-    if search_mode == "geometric" and n_tasks <= max_candidates:
-        # The budget covers every count, so the geometric candidate set
-        # degenerates to the exhaustive one.
-        search_mode = "exhaustive"
-    if search_mode == "exhaustive":
-        # candidate_counts ignores the budget in exhaustive mode, so keying
-        # on it would only create spurious misses.
-        max_candidates = 0
-    return search_mode, max_candidates
 
 
 def expand_work_units(
@@ -335,15 +526,10 @@ def expand_work_units(
     semantics).  The expansion order is the deterministic iteration order
     used by the serial reference path.
     """
-    # Validate here so that a typoed mode fails before any cache lookup —
-    # a warm cache must reject exactly what a cold one rejects.
-    if search_mode not in SEARCH_MODES:
-        raise ValueError(
-            f"unknown search mode {search_mode!r}; expected one of {SEARCH_MODES}"
-        )
-    # Same early-failure rule for the backend name: a typo must not survive
-    # until (or vary with) cache warmth.  The resolved value is discarded —
-    # "auto" stays "auto" so each instance picks its own fast path.
+    # Validate the backend name here, so that a typo fails before any
+    # cache lookup and does not vary with cache warmth.  The resolved value
+    # is discarded — "auto" stays "auto" so each instance picks its own
+    # fast path.
     BACKEND_REGISTRY.resolve(backend)
     units: list[WorkUnit] = []
     for scenario in scenarios:
@@ -393,14 +579,15 @@ class CampaignRunner:
         Worker-supervision knobs forwarded to
         :func:`~repro.runtime.parallel.parallel_map`: pool-level retries per
         chunk, the exponential-backoff base between pool resets, and the
-        optional per-unit wall-clock budget.
+        optional wall-clock budget per parallel item — per group of units
+        that share a sweep, not per unit.
     quarantine:
-        When true, a unit that keeps killing its worker (or times out, or
+        When true, a group that keeps killing its worker (or times out, or
         raises) is quarantined instead of aborting the run: the remaining
-        units complete, the failure lands in :attr:`failures` (and the
-        journal), and the unit's row is simply absent from the output.
-        Off by default — drivers that ``zip`` rows back onto their unit
-        list need the one-row-per-unit invariant.
+        groups complete, one failure per unit of the group lands in
+        :attr:`failures` (and the journal), and the group's rows are simply
+        absent from the output.  Off by default — callers that ``zip`` rows
+        back onto their unit list need the one-row-per-unit invariant.
 
     The worker pool is created lazily on the first parallel batch and reused
     for the runner's lifetime, so a driver that issues several sweeps (e.g.
@@ -509,13 +696,12 @@ class CampaignRunner:
         return self.run_units(units)
 
     def run_units(self, units: Sequence[WorkUnit]) -> list[ResultRow]:
-        """Resolve units from the cache, compute the misses, keep the order."""
+        """Resolve units from the journal and cache, solve the misses, keep the order."""
         return self._run_cached(
             units,
-            key_fn=self._unit_key,
-            solve_fn=_solve_unit,
+            plan_fn=plan_unit,
+            solve_fn=_solve_campaign_group,
             decode_fn=_row_from_outcome,
-            encode_fn=_row_outcome,
         )
 
     def run_mc_units(self, units: Sequence[MonteCarloUnit]) -> list[dict[str, Any]]:
@@ -528,99 +714,95 @@ class CampaignRunner:
         """
         return self._run_cached(
             units,
-            key_fn=self._mc_unit_key,
-            solve_fn=_solve_mc_unit,
-            decode_fn=lambda unit, outcome: dict(outcome),
-            encode_fn=dict,
+            plan_fn=_plan_mc_unit,
+            solve_fn=_solve_mc_group,
+            decode_fn=lambda unit, outcome, seconds: dict(outcome),
         )
 
     def _run_cached(
         self,
         units: Sequence[Any],
         *,
-        key_fn: Callable[[Any], str],
-        solve_fn: Callable[[Any], Any],
-        decode_fn: Callable[[Any, dict], Any],
-        encode_fn: Callable[[Any], dict],
+        plan_fn: Callable[[Any], PlannedUnit],
+        solve_fn: Callable[[Sequence[PlannedUnit]], list[tuple[dict[str, Any], float]]],
+        decode_fn: Callable[[Any, dict[str, Any], float], Any],
     ) -> list[Any]:
-        """Shared cache-then-fan-out loop of every unit type.
+        """Shared journal/cache-then-fan-out loop of every unit type.
 
-        ``key_fn`` keys a unit, ``solve_fn`` computes a miss (module-level,
-        picklable), ``decode_fn`` rebuilds a result from a cached outcome,
-        and ``encode_fn`` extracts the cache payload from a fresh result.
-        Results come back in unit order; every fresh result is persisted the
-        moment the parent receives it — journal first (durable), cache
-        second — so an interrupted or partially failed sweep keeps
-        everything it already paid for.  The journal is consulted *before*
-        the cache: it is the authoritative record of this campaign, valid
-        even when no cache is configured.
+        ``plan_fn`` plans a unit (its key and group), ``solve_fn`` computes
+        one group of planned units (module-level, picklable) and returns an
+        ``(outcome, seconds)`` pair per unit, and ``decode_fn(unit, outcome,
+        seconds)`` builds a result (``seconds`` is 0.0 for a journal or cache
+        hit).  Results come back in unit order; every fresh outcome is
+        persisted the moment the parent receives it — journal first
+        (durable), cache second — so an interrupted or partially failed
+        sweep keeps everything it already paid for.  The journal is
+        consulted *before* the cache: it is the authoritative record of this
+        campaign, valid even when no cache is configured.
+
+        The groups of the misses, ordered by their first unit, are the items
+        of :func:`parallel_map`, so supervision counts groups and quarantine
+        drops a whole group (one :class:`UnitFailure` and one journal
+        failure record per unit); the results of a group are persisted,
+        reported and passed to the ``campaign_unit`` fault point unit by
+        unit, in unit order.
         """
         rows: list[Any] = [None] * len(units)
-        pending: list[int] = []
-        keys: dict[int, str] = {}
+        groups: dict[Hashable, list[int]] = {}
         dropped: set[int] = set()
 
         self.progress.start(len(units))
         try:
+            plans = [plan_fn(unit) for unit in units]
             done = 0
-            use_keys = self.cache is not None or self.journal is not None
-            if use_keys:
-                for index, unit in enumerate(units):
-                    key = key_fn(unit)
-                    keys[index] = key
-                    outcome = self.journal.get(key) if self.journal is not None else None
-                    from_journal = outcome is not None
-                    if outcome is None and self.cache is not None:
-                        outcome = self.cache.get(key)
-                    if outcome is not None:
-                        rows[index] = decode_fn(unit, outcome)
-                        if self.journal is not None and not from_journal:
-                            # A cache hit still belongs in this campaign's
-                            # durable record: resume must not depend on the
-                            # cache file's continued existence.
-                            self.journal.record(key, outcome)
-                        if self.cache is not None and from_journal:
-                            # And a journal replay warms the cache, so later
-                            # campaigns benefit from the resumed work too.
-                            self.cache.put(key, outcome)
-                        done += 1
-                        fault_point("campaign_unit", default="exit=137", unit=index)
-                    else:
-                        pending.append(index)
-                self.progress.update(done, self._progress_info())
-            else:
-                pending = list(range(len(units)))
+            for index, plan in enumerate(plans):
+                outcome = self.journal.get(plan.key) if self.journal is not None else None
+                from_journal = outcome is not None
+                if outcome is None and self.cache is not None:
+                    outcome = self.cache.get(plan.key)
+                if outcome is None:
+                    groups.setdefault(plan.group, []).append(index)
+                    continue
+                rows[index] = decode_fn(units[index], outcome, 0.0)
+                if self.journal is not None and not from_journal:
+                    # A cache hit still belongs in this campaign's durable
+                    # record: resume must not depend on the cache file's
+                    # continued existence.
+                    self.journal.record(plan.key, outcome)
+                if self.cache is not None and from_journal:
+                    # And a journal replay warms the cache, so later
+                    # campaigns benefit from the resumed work too.
+                    self.cache.put(plan.key, outcome)
+                done += 1
+                fault_point("campaign_unit", default="exit=137", unit=index)
+            self.progress.update(done, self._progress_info())
 
-            if pending:
-                done_base = done
-                completed = 0
+            members = list(groups.values())
 
-                def on_result(position: int, row: Any) -> None:
-                    nonlocal completed
-                    index = pending[position]
-                    rows[index] = row
-                    if use_keys:
-                        outcome = encode_fn(row)
-                        if self.journal is not None:
-                            self.journal.record(keys[index], outcome)
-                        if self.cache is not None:
-                            self.cache.put(keys[index], outcome)
-                    completed += 1
-                    self.progress.update(done_base + completed, self._progress_info())
+            def on_result(position: int, solved: list[tuple[dict[str, Any], float]]) -> None:
+                nonlocal done
+                for index, (outcome, seconds) in zip(members[position], solved):
+                    rows[index] = decode_fn(units[index], outcome, seconds)
+                    if self.journal is not None:
+                        self.journal.record(plans[index].key, outcome)
+                    if self.cache is not None:
+                        self.cache.put(plans[index].key, outcome)
+                    done += 1
+                    self.progress.update(done, self._progress_info())
                     # The deterministic kill switch of the CI kill-resume
                     # gate: by default this exits hard (SIGKILL-alike),
                     # *after* the journal write — exactly the crash the
                     # journal exists to survive.
                     fault_point("campaign_unit", default="exit=137", unit=index)
 
-                def on_failure(failure: WorkerFailure) -> None:
-                    nonlocal completed
-                    index = pending[failure.unit_index]
+            def on_failure(failure: WorkerFailure) -> None:
+                nonlocal done
+                for index in members[failure.unit_index]:
                     dropped.add(index)
                     self.failures.append(UnitFailure(unit=units[index], failure=failure))
                     if self.journal is not None:
                         self.journal.record_failure(
-                            keys[index],
+                            plans[index].key,
                             {
                                 "kind": failure.kind,
                                 "attempts": failure.attempts,
@@ -628,13 +810,14 @@ class CampaignRunner:
                                 "cause_message": failure.cause_message,
                             },
                         )
-                    completed += 1
-                    self.progress.update(done_base + completed, self._progress_info())
+                    done += 1
+                self.progress.update(done, self._progress_info())
 
+            if members:
                 try:
                     parallel_map(
                         solve_fn,
-                        [units[index] for index in pending],
+                        [tuple(plans[index] for index in group) for group in members],
                         jobs=self.jobs,
                         on_result=on_result,
                         on_failure=on_failure,
@@ -660,47 +843,6 @@ class CampaignRunner:
         if dropped:
             return [rows[i] for i in range(len(units)) if i not in dropped]
         return rows
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _unit_key(self, unit: WorkUnit) -> str:
-        # The unit's evaluation backend deliberately does not enter the key:
-        # both backends compute the same quantity (the equivalence property
-        # tests pin the bound), so a cache warmed by either serves both.
-        workflow, fingerprint = _memoized_instance(unit.scenario, digest=True)
-        search_mode, max_candidates = _normalized_search(
-            unit.heuristic, workflow.n_tasks, unit.search_mode, unit.max_candidates
-        )
-        return scenario_unit_key(
-            workflow_digest=fingerprint,
-            platform=unit.scenario.platform,
-            heuristic=unit.heuristic,
-            search_mode=search_mode,
-            max_candidates=max_candidates,
-            seed=unit.scenario.seed,
-        )
-
-    def _mc_unit_key(self, unit: MonteCarloUnit) -> str:
-        # Backend-agnostic like _unit_key — here that is exact rather than
-        # within floating-point noise: the two Monte-Carlo engines produce
-        # bit-for-bit identical samples.
-        workflow, fingerprint = _memoized_instance(unit.scenario, digest=True)
-        search_mode, max_candidates = _normalized_search(
-            unit.heuristic, workflow.n_tasks, unit.search_mode, unit.max_candidates
-        )
-        return robustness_unit_key(
-            workflow_digest=fingerprint,
-            platform=unit.scenario.platform,
-            heuristic=unit.heuristic,
-            search_mode=search_mode,
-            max_candidates=max_candidates,
-            seed=unit.scenario.seed,
-            failure_spec=unit.resolved_failure_spec(),
-            n_runs=unit.n_runs,
-            mc_seed=unit.mc_seed,
-            checkpoint_overlap=unit.checkpoint_overlap,
-        )
 
     def _progress_info(self) -> str:
         if self.cache is None:

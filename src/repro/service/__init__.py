@@ -12,8 +12,10 @@ long-running service:
   price the same instance by construction;
 * :mod:`repro.service.planner` — the bridge into the runtime: cache lookups
   through the existing content-addressed keys, single-flight deduplication
-  of identical in-flight solves, and cross-request batching that lets
-  same-family requests ride one :class:`~repro.core.sweep.SweepState` pass;
+  of identical in-flight solves, and the campaign runner's own solve core
+  (:func:`~repro.runtime.runner.solve_group`), which lets requests of one
+  instance and linearization ride one :class:`~repro.core.sweep.SweepState`
+  pass;
 * :mod:`repro.service.batcher` — the asyncio request queue feeding the
   planner's worker threads;
 * :mod:`repro.service.app` — the stdlib-only HTTP/1.1 daemon exposing
@@ -35,7 +37,7 @@ from .metrics import (
     build_fabric_registry,
     build_service_registry,
 )
-from .planner import ServicePlanner, SharedSweepScorer
+from .planner import ServicePlanner
 from .schema import (
     ServiceError,
     parse_analyse_request,
@@ -54,7 +56,6 @@ __all__ = [
     "ServiceError",
     "ServicePlanner",
     "ServiceServer",
-    "SharedSweepScorer",
     "build_fabric_registry",
     "build_service_registry",
     "parse_analyse_request",

@@ -8,22 +8,21 @@ response payloads by the cheapest available route, in order:
    cache warmed by ``repro campaign`` serves the daemon and vice versa);
 2. **single-flight** — identical requests already being computed (by this
    batch or a concurrent one) are joined instead of recomputed;
-3. **family batching** — the remaining misses are grouped by (workflow
-   content, platform content, linearization, backend); each group's
-   searches share one :class:`SharedSweepScorer`, i.e. one
-   :class:`~repro.core.sweep.SweepState` pass over the common
-   linearization instead of one per request.
+3. **shared sweeps** — the remaining misses are planned and solved by the
+   campaign runner's own core, :func:`~repro.runtime.runner.plan_unit` and
+   :func:`~repro.runtime.runner.solve_group`: requests of one instance and
+   linearization share one sweep pass, exactly as the units of a campaign
+   do.
 
-Sharing a sweep cannot change any response: sweep evaluations are pinned
-order-independent (the PR-5 hypothesis tests), the scorer memoises by exact
-checkpoint set, and the search still re-evaluates its winner through the
-plain evaluator — so a daemon response is bit-for-bit the direct
-:func:`~repro.heuristics.registry.solve_heuristic` result.
+A daemon response is therefore bit-for-bit the direct
+:func:`~repro.heuristics.registry.solve_heuristic` result, and its cache
+entry is the one a campaign writes for the same unit.
 
 Everything here is synchronous and thread-safe; the asyncio side lives in
 :mod:`repro.service.batcher`.  With ``jobs > 1`` the planner fans groups out
-over a process pool (one group per worker, scorer and all), mirroring the
-campaign runner's worker model.
+over a process pool (one group per worker task), mirroring the campaign
+runner's worker model.  The ``service_group`` fault point lives here, in
+:func:`_solve_service_group`, so campaigns never fire it.
 """
 
 from __future__ import annotations
@@ -31,159 +30,30 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..analysis import analyse_schedule, checkpoint_utilities
-from ..core.backend import BackendSpec
-from ..core.evaluator import MakespanEvaluation, evaluate_schedule
-from ..core.sweep import SweepState
-from ..heuristics.registry import heuristic_rng, parse_heuristic_name, solve_heuristic
-from ..heuristics.linearization import linearize
-from ..heuristics.search import candidate_counts
+from ..core.evaluator import evaluate_schedule
 from ..runtime.cache import LRUCache, ResultCache
 from ..runtime.faults import fault_point
-from ..runtime.keys import platform_fingerprint, scenario_unit_key
 from ..runtime.parallel import dispose_executor, resolve_jobs
-from ..runtime.runner import _memoized_instance, _normalized_search
+from ..runtime.runner import PlannedUnit, SolvedGroup, WorkUnit, plan_unit, solve_group
 from .metrics import MetricsRegistry
 from .schema import ScheduleRequest, ServiceError, SolveRequest
 
-__all__ = ["ServicePlanner", "SharedSweepScorer"]
+__all__ = ["ServicePlanner"]
 
 
-class SharedSweepScorer:
-    """One incremental sweep shared by several checkpoint-count searches.
+def _solve_service_group(
+    plans: Sequence[PlannedUnit], attempt: int = 1
+) -> SolvedGroup:
+    """Solve one group for the service (module-level, hence picklable).
 
-    Wraps a :class:`~repro.core.sweep.SweepState` over one (workflow,
-    linearization, platform) and memoises evaluations by exact checkpoint
-    set, so N concurrent searches over the same family cost one sweep pass
-    and each *distinct* candidate set is priced exactly once.  ``order`` is
-    exposed so :func:`~repro.heuristics.search.search_checkpoint_count` can
-    verify the scorer matches its linearization.
-    """
-
-    def __init__(
-        self,
-        workflow,
-        order,
-        platform,
-        *,
-        backend: "str | BackendSpec | None" = None,
-    ):
-        self.order = tuple(order)
-        backend = BackendSpec.coerce(backend).backend
-        self._sweep = SweepState(workflow, self.order, platform, backend=backend)
-        self._memo: dict[frozenset[int], MakespanEvaluation] = {}
-        #: Underlying sweep evaluations (memo misses) performed so far.
-        self.evaluations = 0
-        #: Searches that scored at least one set through this scorer.
-        self.searches = 0
-        self._clients: set[int] = set()
-
-    def __call__(self, selected: frozenset[int]) -> MakespanEvaluation:
-        selected = frozenset(selected)
-        evaluation = self._memo.get(selected)
-        if evaluation is None:
-            evaluation = self._sweep.evaluate(selected, keep_task_times=False)
-            self._memo[selected] = evaluation
-            self.evaluations += 1
-        return evaluation
-
-
-@dataclass(frozen=True)
-class _PlannedUnit:
-    """One solve request, keyed and normalised, ready to group and compute."""
-
-    request: SolveRequest
-    key: str
-    group: tuple
-    counts: tuple[int, ...] | None
-    linearization: str
-    strategy: str
-
-
-def _solve_group(
-    units: Sequence[_PlannedUnit], attempt: int = 1
-) -> list[dict[str, Any]]:
-    """Compute one family group (module-level, hence picklable for jobs>1).
-
-    All units share workflow content, platform content, linearization and
-    backend, so the parameterised searches ride one
-    :class:`SharedSweepScorer`.  Returns, per unit, the cacheable outcome
-    payload, the schedule (order + checkpoint set) and the group's share of
-    the sweep-pass / evaluation counters (stamped on the first entry).
     ``attempt`` exists so fault specs can target only the first try of a
     group (``service_group:attempt=1``) and let the retry succeed.
     """
     fault_point("service_group", default="raise=RuntimeError", attempt=attempt)
-    first = units[0].request
-    workflow, _ = _memoized_instance(first.scenario)
-    platform = first.scenario.platform
-    scorer: SharedSweepScorer | None = None
-    passes = 0
-    private_evaluations = 0
-    results: list[dict[str, Any]] = []
-    for unit in units:
-        request = unit.request
-        evaluator = None
-        if unit.counts is not None:
-            if unit.linearization == "RF":
-                # RF draws its order from the (seed, heuristic) stream, so
-                # it can never share a linearization: give it a private
-                # scorer (its own single sweep pass).
-                order = linearize(
-                    workflow,
-                    unit.linearization,
-                    rng=heuristic_rng(request.scenario.seed, request.heuristic),
-                )
-                evaluator = SharedSweepScorer(
-                    workflow, order, platform, backend=request.backend
-                )
-                passes += 1
-            else:
-                if scorer is None:
-                    order = linearize(workflow, unit.linearization)
-                    scorer = SharedSweepScorer(
-                        workflow, order, platform, backend=request.backend
-                    )
-                    passes += 1
-                evaluator = scorer
-        # One spec carries both the backend name and the shared scorer —
-        # what used to travel as parallel backend= / sweep_evaluator= kwargs.
-        result = solve_heuristic(
-            workflow,
-            platform,
-            request.heuristic,
-            rng=heuristic_rng(request.scenario.seed, request.heuristic),
-            counts=unit.counts,
-            backend=BackendSpec(backend=request.backend, evaluator=evaluator),
-        )
-        if evaluator is not None:
-            evaluator.searches += 1
-            if evaluator is not scorer:
-                private_evaluations += evaluator.evaluations
-        results.append(
-            {
-                # Exactly the campaign runner's cached outcome payload
-                # (_OUTCOME_FIELDS), so daemon and campaign entries are
-                # interchangeable under the same key.
-                "outcome": {
-                    "actual_n_tasks": workflow.n_tasks,
-                    "n_checkpointed": result.checkpoint_count,
-                    "expected_makespan": result.expected_makespan,
-                    "failure_free_work": result.evaluation.failure_free_work,
-                    "overhead_ratio": result.overhead_ratio,
-                },
-                "schedule": {
-                    "order": list(result.schedule.order),
-                    "checkpointed": sorted(result.schedule.checkpointed),
-                },
-            }
-        )
-    evaluations = private_evaluations + (scorer.evaluations if scorer else 0)
-    results[0]["stats"] = {"passes": passes, "evaluations": evaluations}
-    return results
+    return solve_group(plans)
 
 
 class ServicePlanner:
@@ -261,18 +131,26 @@ class ServicePlanner:
         self._inc("repro_solve_requests_total", len(requests))
         self._inc("repro_solve_batches_total")
         results: list[Any] = [None] * len(requests)
-        planned: list[_PlannedUnit | None] = [None] * len(requests)
+        planned: list[PlannedUnit | None] = [None] * len(requests)
         pending: list[int] = []
 
         for index, request in enumerate(requests):
             try:
-                unit = self._plan(request)
+                plan = plan_unit(
+                    WorkUnit(
+                        scenario=request.scenario,
+                        heuristic=request.heuristic,
+                        search_mode=request.search_mode,
+                        max_candidates=request.max_candidates,
+                        backend=request.backend,
+                    )
+                )
             except Exception as exc:  # noqa: BLE001 - reported per request
                 self._inc("repro_solve_errors_total")
                 results[index] = exc
                 continue
-            planned[index] = unit
-            served = self._from_cache(request, unit)
+            planned[index] = plan
+            served = self._from_cache(request, plan.key)
             if served is not None:
                 self._inc("repro_solve_cache_hits_total")
                 results[index] = served
@@ -286,21 +164,21 @@ class ServicePlanner:
         joined: list[tuple[int, Future]] = []
         with self._inflight_lock:
             for index in pending:
-                unit = planned[index]
-                future = self._inflight.get(unit.key)
+                key = planned[index].key
+                future = self._inflight.get(key)
                 if future is None:
-                    self._inflight[unit.key] = Future()
+                    self._inflight[key] = Future()
                     owned.append(index)
                 else:
                     joined.append((index, future))
         if joined:
             self._inc("repro_solve_coalesced_total", len(joined))
 
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[Any, list[int]] = {}
         for index in owned:
             groups.setdefault(planned[index].group, []).append(index)
         try:
-            self._compute_groups(groups, planned, results)
+            self._compute_groups(groups, requests, planned, results)
         finally:
             # Any owned key whose future was not resolved (a bug or an
             # interpreter-level error) must not wedge future requests.
@@ -317,82 +195,35 @@ class ServicePlanner:
                         )
 
         for index, future in joined:
-            unit = planned[index]
             try:
                 outcome, schedule = future.result()
             except Exception as exc:  # noqa: BLE001 - reported per request
                 results[index] = exc
                 continue
             results[index] = self._response(
-                unit.request, unit, outcome, schedule, source="coalesced"
+                requests[index], planned[index].key, outcome, schedule, source="coalesced"
             )
         return results
 
-    def _plan(self, request: SolveRequest) -> _PlannedUnit:
-        workflow, fingerprint = _memoized_instance(request.scenario, digest=True)
-        linearization, strategy = parse_heuristic_name(request.heuristic)
-        search_mode, max_candidates = _normalized_search(
-            request.heuristic,
-            workflow.n_tasks,
-            request.search_mode,
-            request.max_candidates,
-        )
-        key = scenario_unit_key(
-            workflow_digest=fingerprint,
-            platform=request.scenario.platform,
-            heuristic=request.heuristic,
-            search_mode=search_mode,
-            max_candidates=max_candidates,
-            seed=request.scenario.seed,
-        )
-        counts = (
-            None
-            if strategy in ("CkptNvr", "CkptAlws")
-            else candidate_counts(
-                workflow.n_tasks,
-                mode=request.search_mode,
-                max_candidates=request.max_candidates,
-            )
-        )
-        group: tuple = (
-            fingerprint,
-            platform_fingerprint(request.scenario.platform),
-            linearization,
-            request.backend,
-        )
-        if linearization == "RF":
-            # RF orders depend on (seed, heuristic): no shared sweep, so
-            # make the group unique to keep each unit a singleton.
-            group += (request.scenario.seed, request.heuristic)
-        return _PlannedUnit(
-            request=request,
-            key=key,
-            group=group,
-            counts=counts,
-            linearization=linearization,
-            strategy=strategy,
-        )
-
-    def _from_cache(
-        self, request: SolveRequest, unit: _PlannedUnit
-    ) -> dict[str, Any] | None:
+    def _from_cache(self, request: SolveRequest, key: str) -> dict[str, Any] | None:
         if self.cache is None:
             return None
-        outcome = self.cache.get(unit.key)
+        outcome = self.cache.get(key)
         if outcome is None:
             return None
-        schedule = self._schedules.get(unit.key)
+        schedule = self._schedules.get(key)
         if request.include_schedule and schedule is None:
             # The disk layer only persists outcomes; honouring the schedule
             # request needs a recomputation (which reproduces the cached
             # outcome bit-for-bit).
             return None
-        return self._response(request, unit, outcome, schedule, source="cache")
+        return self._response(request, key, outcome, schedule, source="cache")
 
     def _compute_groups(
         self,
-        groups: dict[tuple, list[int]],
-        planned: Sequence[_PlannedUnit | None],
+        groups: dict[Any, list[int]],
+        requests: Sequence[SolveRequest],
+        planned: Sequence[PlannedUnit | None],
         results: list[Any],
     ) -> None:
         if not groups:
@@ -413,7 +244,7 @@ class ServicePlanner:
             if executor is None:
                 for item_index in remaining:
                     try:
-                        computed[item_index] = _solve_group(
+                        computed[item_index] = _solve_service_group(
                             items[item_index][1], attempt
                         )
                     except BrokenProcessPool as exc:
@@ -424,7 +255,7 @@ class ServicePlanner:
             else:
                 futures = {
                     item_index: executor.submit(
-                        _solve_group, items[item_index][1], attempt
+                        _solve_service_group, items[item_index][1], attempt
                     )
                     for item_index in remaining
                 }
@@ -453,27 +284,26 @@ class ServicePlanner:
             self._inc("repro_solve_retries_total", len(broken))
             remaining = broken
             attempt += 1
-        for item_index, (indices, units) in enumerate(items):
-            group_result = computed[item_index]
-            if isinstance(group_result, Exception):
+        for item_index, (indices, plans) in enumerate(items):
+            solved = computed[item_index]
+            if isinstance(solved, Exception):
                 self._inc("repro_solve_errors_total", len(indices))
-                for index, unit in zip(indices, units):
-                    results[index] = group_result
-                    self._resolve_inflight(unit.key, error=group_result)
+                for index, plan in zip(indices, plans):
+                    results[index] = solved
+                    self._resolve_inflight(plan.key, error=solved)
                 continue
-            stats = group_result[0].get("stats") or {}
-            self._inc("repro_solve_sweep_passes_total", stats.get("passes", 0))
-            self._inc("repro_solve_evaluations_total", stats.get("evaluations", 0))
+            self._inc("repro_solve_sweep_passes_total", solved.sweep_passes)
+            self._inc("repro_solve_evaluations_total", solved.evaluations)
             self._inc("repro_solve_computed_total", len(indices))
-            for index, unit, entry in zip(indices, units, group_result):
-                outcome = entry["outcome"]
-                schedule = entry["schedule"]
+            for index, plan, outcome, schedule in zip(
+                indices, plans, solved.outcomes, solved.schedules
+            ):
                 if self.cache is not None:
-                    self.cache.put(unit.key, outcome)
-                self._schedules.put(unit.key, schedule)
-                self._resolve_inflight(unit.key, value=(outcome, schedule))
+                    self.cache.put(plan.key, outcome)
+                self._schedules.put(plan.key, schedule)
+                self._resolve_inflight(plan.key, value=(outcome, schedule))
                 results[index] = self._response(
-                    unit.request, unit, outcome, schedule, source="computed"
+                    requests[index], plan.key, outcome, schedule, source="computed"
                 )
 
     def _resolve_inflight(
@@ -491,7 +321,7 @@ class ServicePlanner:
     def _response(
         self,
         request: SolveRequest,
-        unit: _PlannedUnit,
+        key: str,
         outcome: dict[str, Any],
         schedule: dict[str, Any] | None,
         *,
@@ -514,7 +344,7 @@ class ServicePlanner:
             "overhead_ratio": float(outcome["overhead_ratio"]),
             "n_checkpointed": int(outcome["n_checkpointed"]),
             "cache": source,
-            "cache_key": unit.key,
+            "cache_key": key,
         }
         if request.include_schedule and schedule is not None:
             payload["schedule"] = {

@@ -32,7 +32,7 @@ from repro.core.backend import AUTO_NUMPY_MIN_TASKS, BACKEND_ENV_VAR
 from repro.core.evaluator_native import native_available
 from repro.runtime import ResultCache
 from repro.runtime.keys import evaluation_key
-from repro.runtime.runner import CampaignRunner, WorkUnit, evaluate_schedule_cached
+from repro.runtime.runner import WorkUnit, evaluate_schedule_cached, plan_unit
 from repro.experiments.scenarios import Scenario
 from repro.workflows import generators
 
@@ -401,13 +401,12 @@ class TestCacheKeyEquivalence:
         scenario = Scenario(
             family="montage", n_tasks=20, failure_rate=1e-3, seed=3, label="eq"
         )
-        with CampaignRunner() as runner:
-            keys = {
-                runner._unit_key(
-                    WorkUnit(scenario=scenario, heuristic="DF-CkptW", backend=backend)
-                )
-                for backend in (None, "auto", "python", "numpy")
-            }
+        keys = {
+            plan_unit(
+                WorkUnit(scenario=scenario, heuristic="DF-CkptW", backend=backend)
+            ).key
+            for backend in (None, "auto", "python", "numpy")
+        }
         assert len(keys) == 1
 
 

@@ -15,12 +15,14 @@ through the ``REPRO_FAULTS`` registry (:mod:`repro.runtime.faults`):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import sqlite3
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -52,6 +54,11 @@ def scenario():
         heuristics=HEURISTICS,
         label="chaos-test",
     )
+
+
+def _slow_sqrt(value: float) -> float:
+    time.sleep(0.3)
+    return math.sqrt(value)
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +210,22 @@ class TestSupervision:
         assert failures[0].kind == "crash"
         assert failures[0].attempts >= 2  # it was genuinely retried
 
+    def test_a_chunk_beside_a_dying_worker_is_not_charged(self, monkeypatch):
+        # Unit 0 is still running when unit 1's worker dies, on every
+        # attempt, so the pool breaks under both.  Only a chunk that broke
+        # while running alone is charged an attempt: unit 0 completes and
+        # unit 1 alone is quarantined.
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:unit=1")
+        failures: list[WorkerFailure] = []
+        results = parallel_map(
+            _slow_sqrt, [4.0, 9.0], jobs=2, chunksize=1,
+            max_retries=1, retry_backoff=0.0,
+            quarantine=True, on_failure=failures.append,
+        )
+        assert results[0] == 2.0
+        assert results[1] is QUARANTINED
+        assert [f.unit_index for f in failures] == [1]
+
     def test_stuck_unit_times_out_and_is_quarantined(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "chunk_timeout:unit=1,sleep=5")
         failures: list[WorkerFailure] = []
@@ -225,6 +248,45 @@ class TestSupervision:
             )
         assert excinfo.value.unit_index == 0
         assert excinfo.value.kind == "crash"
+
+
+class TestCampaignQuarantine:
+    def test_poison_group_is_quarantined_whole(self, scenario, tmp_path, monkeypatch):
+        # Units: seed 0 -> 0 DF-CkptW, 1 RF-CkptC, 2 DF-CkptNvr; seed 1 ->
+        # 3, 4, 5.  Groups, ordered by first unit: [0, 2], [1], [3, 5], [4];
+        # parallel item 2 is seed 1's DF group, units 3 and 5.
+        from repro.runtime.runner import CampaignRunner, plan_unit
+
+        mixed = scenario.with_updates(heuristics=("DF-CkptW", "RF-CkptC", "DF-CkptNvr"))
+        options = dict(search_mode="geometric", max_candidates=5)
+        with CampaignRunner(**options) as runner:
+            serial = runner.run_rows([mixed], seeds=(0, 1))
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:unit=2")
+        journal_path = tmp_path / "quarantine.jsonl"
+        with CampaignRunner(
+            jobs=2, journal=str(journal_path), quarantine=True,
+            max_retries=1, retry_backoff=0.0, **options,
+        ) as runner:
+            rows = runner.run_rows([mixed], seeds=(0, 1))
+            failures = list(runner.failures)
+        monkeypatch.delenv(FAULTS_ENV)
+
+        poisoned = [(1, "DF-CkptW"), (1, "DF-CkptNvr")]
+        assert [(r.seed, r.heuristic) for r in rows] == [
+            (r.seed, r.heuristic) for r in serial
+            if (r.seed, r.heuristic) not in poisoned
+        ]
+        survivors = [r for r in serial if (r.seed, r.heuristic) not in poisoned]
+        assert [dataclasses.replace(r, solve_seconds=0.0) for r in rows] == [
+            dataclasses.replace(r, solve_seconds=0.0) for r in survivors
+        ]
+        assert [
+            (f.unit.scenario.seed, f.unit.heuristic) for f in failures
+        ] == poisoned
+        assert all(f.failure.kind == "crash" for f in failures)
+        with CampaignJournal(journal_path) as journal:
+            assert set(journal.failures) == {plan_unit(f.unit).key for f in failures}
+            assert len(journal) == len(rows)
 
 
 # ----------------------------------------------------------------------
@@ -306,10 +368,10 @@ class TestCampaignResume:
         journal_path = tmp_path / "campaign.jsonl"
         reference = run_campaign([scenario], seeds=(0,), journal=str(journal_path))
 
-        def bomb(unit):  # pragma: no cover - must never run
+        def bomb(plans):  # pragma: no cover - must never run
             raise AssertionError("journal replay must not recompute")
 
-        monkeypatch.setattr("repro.runtime.runner._solve_unit", bomb)
+        monkeypatch.setattr("repro.runtime.runner.solve_group", bomb)
         replayed = run_campaign([scenario], seeds=(0,), journal=str(journal_path))
         assert replayed.render() == reference.render()
 

@@ -265,14 +265,13 @@ class TestMonteCarloKeys:
 
     def test_mc_unit_key_is_backend_agnostic(self):
         """The engines are bit-for-bit identical, so the backend must not key."""
-        from repro.runtime.runner import CampaignRunner, MonteCarloUnit
+        from repro.runtime.runner import MonteCarloUnit, _plan_mc_unit
 
         scenario = Scenario(family="montage", n_tasks=20, failure_rate=1e-3, seed=2)
-        runner = CampaignRunner()
         keys = {
-            runner._mc_unit_key(
+            _plan_mc_unit(
                 MonteCarloUnit(scenario=scenario, n_runs=100, backend=backend)
-            )
+            ).key
             for backend in (None, "auto", "python", "numpy")
         }
         assert len(keys) == 1

@@ -17,7 +17,9 @@ from repro.core.evaluator import evaluate_schedule
 from repro.core.platform import Platform
 from repro.core.schedule import Schedule
 from repro.experiments import Scenario, run_campaign, run_grid
-from repro.heuristics import linearize
+from repro.experiments.scenarios import build_workflow
+from repro.heuristics import HEURISTIC_NAMES, linearize, solve_heuristic
+from repro.heuristics.search import candidate_counts
 from repro.runtime import NullProgress, ResultCache
 from repro.runtime.runner import (
     CampaignRunner,
@@ -72,16 +74,16 @@ class TestRunnerValidation:
         """A failed batch must not poison the runner's worker pool."""
         import repro.runtime.runner as runner_module
 
-        real = runner_module.run_heuristic
+        real = runner_module.solve_group
 
         def boom(*args, **kwargs):
             raise RuntimeError("simulated worker failure")
 
         with CampaignRunner(jobs=2, search_mode="geometric", max_candidates=5) as runner:
-            monkeypatch.setattr(runner_module, "run_heuristic", boom)
+            monkeypatch.setattr(runner_module, "solve_group", boom)
             with pytest.raises(RuntimeError):
                 runner.run_rows([scenario])
-            monkeypatch.setattr(runner_module, "run_heuristic", real)
+            monkeypatch.setattr(runner_module, "solve_group", real)
             rows = runner.run_rows([scenario])
         assert len(rows) == len(HEURISTICS)
 
@@ -132,15 +134,48 @@ class TestParallelMatchesSerial:
             _rows_equal_except_timing(a, b) for a, b in zip(serial, rows)
         )
 
-    def test_runtime_serial_path_matches_plain_loop(self, scenario):
-        plain = run_grid([scenario], search_mode="geometric", max_candidates=5)
-        routed = run_grid(
-            [scenario], search_mode="geometric", max_candidates=5,
-            cache=ResultCache(),  # forces the CampaignRunner path at jobs=1
-        )
-        assert all(
-            _rows_equal_except_timing(a, b) for a, b in zip(plain, routed)
-        )
+    def test_campaign_rows_match_direct_solves(self):
+        """Oracle outside the runner: every row equals a plain per-unit
+        solve_heuristic call bit for bit, although the runner solves the
+        units of one instance and linearization through a shared sweep."""
+        scenarios = [
+            Scenario(family="montage", n_tasks=n, failure_rate=1e-3, label="oracle")
+            for n in (15, 40)
+        ]
+        assert len(scenarios[0].heuristics) == len(HEURISTIC_NAMES) == 14
+        seeds = (0, 1)
+        for mode in ("exhaustive", "geometric"):
+            result = run_campaign(
+                scenarios, seeds=seeds, search_mode=mode, max_candidates=8
+            )
+            rows = {
+                (row.n_tasks, row.seed, row.heuristic): row for row in result.rows
+            }
+            assert len(rows) == 2 * len(seeds) * len(HEURISTIC_NAMES)
+            for scenario in scenarios:
+                for seed in seeds:
+                    instance = scenario.with_updates(seed=seed)
+                    workflow = build_workflow(instance)
+                    counts = candidate_counts(
+                        workflow.n_tasks, mode=mode, max_candidates=8
+                    )
+                    for heuristic in HEURISTIC_NAMES:
+                        direct = solve_heuristic(
+                            workflow, instance.platform, heuristic,
+                            rng=seed, counts=counts,
+                        )
+                        row = rows[(scenario.n_tasks, seed, heuristic)]
+                        assert (
+                            row.expected_makespan,
+                            row.n_checkpointed,
+                            row.failure_free_work,
+                            row.overhead_ratio,
+                        ) == (
+                            direct.expected_makespan,
+                            direct.checkpoint_count,
+                            direct.evaluation.failure_free_work,
+                            direct.overhead_ratio,
+                        ), (mode, scenario.n_tasks, seed, heuristic)
 
 
 class TestCaching:
@@ -159,7 +194,7 @@ class TestCaching:
         def forbidden(*args, **kwargs):
             raise AssertionError("evaluator was called despite a warm cache")
 
-        monkeypatch.setattr(runner_module, "run_heuristic", forbidden)
+        monkeypatch.setattr(runner_module, "solve_group", forbidden)
         warm = run_campaign(
             [scenario], seeds=(0, 1), search_mode="geometric", max_candidates=5,
             cache=cache,
@@ -179,7 +214,7 @@ class TestCaching:
         import repro.runtime.runner as runner_module
 
         cache = ResultCache()
-        real = runner_module.run_heuristic
+        real = runner_module.solve_group
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -188,7 +223,9 @@ class TestCaching:
                 raise RuntimeError("simulated mid-sweep failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_heuristic", flaky)
+        # Each (seed, linearization) is a group of one unit here, so the
+        # third group is the third unit.
+        monkeypatch.setattr(runner_module, "solve_group", flaky)
         with pytest.raises(RuntimeError):
             run_campaign(
                 [scenario], seeds=(0, 1), search_mode="geometric",

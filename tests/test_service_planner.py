@@ -17,13 +17,14 @@ from __future__ import annotations
 import pytest
 
 from repro import solve_heuristic
+from repro.core.backend import BackendSpec
 from repro.experiments.scenarios import build_workflow
 from repro.heuristics.registry import heuristic_rng
 from repro.heuristics.search import candidate_counts
 from repro.runtime.cache import ResultCache
-from repro.runtime.runner import CampaignRunner
+from repro.runtime.runner import CampaignRunner, SharedSweepScorer
 from repro.service.metrics import build_service_registry
-from repro.service.planner import ServicePlanner, SharedSweepScorer
+from repro.service.planner import ServicePlanner
 from repro.service.schema import (
     ServiceError,
     parse_analyse_request,
@@ -94,7 +95,7 @@ class TestSharedSweepScorer:
                 "DF-CkptW",
                 rng=heuristic_rng(request.scenario.seed, "DF-CkptW"),
                 counts=candidate_counts(workflow.n_tasks, mode="exhaustive"),
-                sweep_evaluator=scorer,
+                backend=BackendSpec(evaluator=scorer),
             )
 
 
@@ -229,6 +230,40 @@ class TestCacheInterop:
         assert payload["cache"] == "cache"
         assert payload["expected_makespan"] == row.expected_makespan
         assert registry.get("repro_solve_sweep_passes_total").value() == 0
+
+    def test_daemon_warmed_cache_serves_a_campaign(self, tmp_path, monkeypatch):
+        """A cache written by `repro serve` answers a campaign: zero solves."""
+        import repro.runtime.runner as runner_module
+
+        scenario = parse_solve_request(solve_payload()).scenario.with_updates(
+            heuristics=("DF-CkptW", "BF-CkptC", "RF-CkptD", "DF-CkptNvr"),
+            label="from-the-daemon",
+        )
+        requests = [
+            parse_solve_request(solve_payload(heuristic=h))
+            for h in scenario.heuristics
+        ]
+        path = tmp_path / "cache.sqlite"
+        with ResultCache.open(path) as cache:
+            planner, _ = make_planner(cache)
+            served = planner.solve_batch(requests)
+        assert [p["cache"] for p in served] == ["computed"] * len(requests)
+
+        def forbidden(plans):
+            raise AssertionError("a daemon-warmed unit was solved again")
+
+        monkeypatch.setattr(runner_module, "solve_group", forbidden)
+        with ResultCache.open(path) as cache:
+            with CampaignRunner(jobs=1, cache=cache) as runner:
+                rows = runner.run_rows([scenario])
+            assert cache.stats.hits == len(requests)
+            assert cache.stats.misses == 0
+        assert [row.expected_makespan for row in rows] == [
+            p["expected_makespan"] for p in served
+        ]
+        assert [row.n_checkpointed for row in rows] == [
+            p["n_checkpointed"] for p in served
+        ]
 
     def test_include_schedule_recomputes_on_lru_miss_with_same_outcome(self):
         import dataclasses
