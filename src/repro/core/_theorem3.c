@@ -8,7 +8,8 @@
  *
  *   repro_fill_rows       - Algorithm-1 lost-work fill of a set of logical
  *                           rows, from the same per-position closure /
- *                           frontier bitmask words the numpy fill uses.
+ *                           frontier bitmask words the numpy fill uses;
+ *                           every candidate slot of a row is overwritten.
  *   repro_theorem3_kernel - the sequential Theorem-3 recursion (properties
  *                           [A]/[B]/[C] + Equation (1)), resumable from a
  *                           stored running-sum history exactly like the
@@ -42,7 +43,7 @@
 
 /* Bumped whenever an exported signature changes; the Python loader refuses
  * to use a cached shared object with a different version. */
-int64_t repro_abi_version(void) { return 1; }
+int64_t repro_abi_version(void) { return 2; }
 
 /* ------------------------------------------------------------------ */
 /* Fast exp / expm1                                                    */
@@ -115,11 +116,11 @@ static inline double fast_expm1(double x) {
 /* ------------------------------------------------------------------ */
 /* One logical row k: walk the candidates in position order, accumulate the
  * regenerated set, and price each candidate's freshly visited positions by
- * an ascending-bit sum over the per-position charge table.  Nonzero values
- * are written into column k of loss_t and compacted into (out_cols,
- * out_vals) for the caller's row-content bookkeeping.  Returns the number
- * of entries written. */
-static int64_t fill_one_row(
+ * an ascending-bit sum over the per-position charge table.  Every candidate
+ * of the row gets its value written into column k of loss_t (0.0 when
+ * nothing is charged), and no other entry of the column can ever be
+ * nonzero, so a refill needs no clearing pass. */
+static void fill_one_row(
     int64_t k,
     int64_t words,
     const uint64_t *fwords,
@@ -131,13 +132,10 @@ static int64_t fill_one_row(
     const double *charges,
     double *loss_t,
     int64_t n1,
-    int64_t *out_cols,
-    double *out_vals,
     uint64_t *regen,   /* scratch, words entries */
     uint64_t *front)   /* scratch, words entries */
 {
     memset(regen, 0, (size_t)words * sizeof(uint64_t));
-    int64_t count = 0;
     for (int64_t t = cand_ptr[k]; t < cand_ptr[k + 1]; t++) {
         int64_t i = cand_idx[t];
         const uint64_t *frontier;
@@ -163,12 +161,10 @@ static int64_t fill_one_row(
         }
         /* visited = frontier & ~regenerated; charge it and fold it in. */
         double value = 0.0;
-        int64_t any = 0;
         for (int64_t w = 0; w < words; w++) {
             uint64_t visited = frontier[w] & ~regen[w];
             if (!visited)
                 continue;
-            any = 1;
             regen[w] |= visited;
             const double *charge_base = charges + (w << 6);
             do {
@@ -177,20 +173,13 @@ static int64_t fill_one_row(
                 visited &= visited - 1;
             } while (visited);
         }
-        if (any && value != 0.0) {
-            loss_t[(size_t)i * (size_t)n1 + (size_t)k] = value;
-            out_cols[count] = i;
-            out_vals[count] = value;
-            count++;
-        }
+        loss_t[(size_t)i * (size_t)n1 + (size_t)k] = value;
     }
-    return count;
 }
 
-/* Fill every row in `rows`.  Outputs land in per-row slices of out_cols /
- * out_vals starting at out_off[r]; out_counts[r] receives the number of
- * entries actually written.  Rows are independent, so the OpenMP split (when
- * compiled in and threads > 1) cannot change any value. */
+/* Fill every row in `rows`.  Rows are independent and each writes only its
+ * own column of loss_t, so the OpenMP split (when compiled in and
+ * threads > 1) cannot change any value. */
 void repro_fill_rows(
     int64_t n_rows,
     const int64_t *rows,
@@ -204,10 +193,6 @@ void repro_fill_rows(
     const double *charges,
     double *loss_t,
     int64_t n1,
-    int64_t *out_cols,
-    double *out_vals,
-    const int64_t *out_off,
-    int64_t *out_counts,
     int64_t threads)
 {
 #ifdef _OPENMP
@@ -217,10 +202,9 @@ void repro_fill_rows(
             uint64_t *scratch = malloc((size_t)(2 * words) * sizeof(uint64_t));
             #pragma omp for schedule(dynamic, 16)
             for (int64_t r = 0; r < n_rows; r++) {
-                out_counts[r] = fill_one_row(
+                fill_one_row(
                     rows[r], words, fwords, cwords, cand_ptr, cand_idx,
                     pred_ptr, pred_idx, charges, loss_t, n1,
-                    out_cols + out_off[r], out_vals + out_off[r],
                     scratch, scratch + words);
             }
             free(scratch);
@@ -232,10 +216,9 @@ void repro_fill_rows(
 #endif
     uint64_t *scratch = malloc((size_t)(2 * words) * sizeof(uint64_t));
     for (int64_t r = 0; r < n_rows; r++) {
-        out_counts[r] = fill_one_row(
+        fill_one_row(
             rows[r], words, fwords, cwords, cand_ptr, cand_idx,
             pred_ptr, pred_idx, charges, loss_t, n1,
-            out_cols + out_off[r], out_vals + out_off[r],
             scratch, scratch + words);
     }
     free(scratch);

@@ -75,7 +75,7 @@ __all__ = [
 
 #: ABI version this module expects; must match ``repro_abi_version()`` in
 #: the C source (bumped together whenever an exported signature changes).
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _SOURCE_PATH = Path(__file__).with_name("_theorem3.c")
 
@@ -111,9 +111,7 @@ class NativeKernels:
         self.fill_rows.argtypes = (
             [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
             + [ctypes.c_void_p] * 8  # fwords..charges, loss_t
-            + [ctypes.c_int64]  # n1
-            + [ctypes.c_void_p] * 4  # out_cols, out_vals, out_off, out_counts
-            + [ctypes.c_int64]  # threads
+            + [ctypes.c_int64] * 2  # n1, threads
         )
         self.theorem3_kernel = lib.repro_theorem3_kernel
         self.theorem3_kernel.restype = None

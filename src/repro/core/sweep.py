@@ -82,13 +82,6 @@ __all__ = ["SweepState", "SweepStats", "batch_evaluate"]
 #: change any value.
 _FILL_CHUNK_BYTES = 32 * 1024 * 1024
 
-#: Distinct relevant-configuration contents remembered per Algorithm-1 row.
-#: Probe sweeps oscillate between a base configuration and single-toggle
-#: variants, so a handful of entries catches the "toggle reverted, row back
-#: to base" refills with a copy instead of a recompute; add-one sweeps never
-#: revisit a configuration and simply pay one dict miss per refill.
-_ROW_CACHE_ENTRIES = 4
-
 #: Shared per-(workflow, order) table entries reused across
 #: :class:`SweepState` constructions.  One-shot evaluation paths
 #: (``evaluate_schedule`` on the numpy and native backends) build a fresh
@@ -179,8 +172,8 @@ def _charge_lut(charge_bits: Any) -> Any:
     whose ``[b, v]`` entry is the canonical charge sum of byte value ``v``
     at byte position ``b`` (a fixed-width-8 numpy reduction).  Incremental
     maintainers must rebuild a row with the identical expression
-    (``(_BYTE_BITS * charge_bits[8 * b : 8 * b + 8]).sum(axis=1)``) so cached
-    and freshly built tables stay bit-identical.
+    (``(_BYTE_BITS * charge_bits[8 * b : 8 * b + 8]).sum(axis=1)``) so
+    incrementally maintained and freshly built tables stay bit-identical.
     """
     mask_bytes = charge_bits.shape[0] // 8
     return (_BYTE_BITS * charge_bits.reshape(mask_bytes, 1, 8)).sum(axis=2)
@@ -231,7 +224,6 @@ class _InstanceTables:
         "weights",
         "raw_ckpt_costs",
         "charge_template",
-        "charge_positive",
         "pfbase",
         "pred_arrays",
         "pf_rows",
@@ -242,7 +234,6 @@ class _InstanceTables:
         "cand_idx",
         "pred_ptr",
         "pred_idx",
-        "cand_total",
         "row_reach",
         "desc",
     )
@@ -276,12 +267,6 @@ class _InstanceTables:
         charge = np.zeros(8 * self.mask_bytes)
         charge[1 : n + 1] = weight[1:]
         self.charge_template = charge
-        # All-positive charges mean a non-empty visited set can never sum to
-        # zero, so the refill can skip the structural-zero filter.
-        self.charge_positive = (
-            min(weight[1:], default=1.0) > 0.0
-            and min(recovery_cost[1:], default=1.0) > 0.0
-        )
         # Candidates whose predecessor list straddles k need their frontier
         # truncated below k at fill time; multi-predecessor positions get a
         # block of prefix-closure rows in the per-state flat table.
@@ -304,7 +289,6 @@ class _InstanceTables:
         self.cand_idx = None
         self.pred_ptr = None
         self.pred_idx = None
-        self.cand_total = 0
         self.row_reach = None
         self.desc = None
 
@@ -358,7 +342,6 @@ class _InstanceTables:
         self.cand_idx = cand_idx
         self.pred_ptr = pred_ptr
         self.pred_idx = pred_idx
-        self.cand_total = total
         self.cand_ptr = cand_ptr
 
     def ensure_delta(self) -> None:
@@ -438,6 +421,8 @@ class SweepStats:
     by default.  ``kernel_seconds`` covers the vectorized Equation-(1) slab
     *and* the sequential Theorem-3 recursion; everything else (set deltas,
     bookkeeping, result construction) is the caller-visible overhead.
+    ``rows_restored`` always reads 0: every invalidated row is refilled.  The
+    field is kept because the ``perfbench`` trace reads it.
     """
 
     evaluations: int = 0
@@ -524,28 +509,24 @@ class SweepState:
         self._weight = tables.weight
         self._recovery_cost = tables.recovery_cost
         self._predecessors = tables.predecessors
-        self._candidates = tables.candidates
         self._weights = tables.weights
         self._raw_ckpt_costs = tables.raw_ckpt_costs
         self._mask_bytes = tables.mask_bytes
         self._mask_words = tables.mask_words
         self._m_max = tables.m_max
         self._cand_len = tables.cand_len
-        self._charge_positive = tables.charge_positive
         self._pfbase = tables.pfbase
         self._pred_arrays = tables.pred_arrays
 
         # The delta-only tables (ancestor / reachability / descendant
-        # bitmasks and the row-content cache) are built lazily on the first
-        # *incremental* evaluation — a one-shot evaluation (a sweep of length
-        # one) never needs them.  They may already exist on the shared entry
-        # from an earlier state.
+        # bitmasks) are built lazily on the first *incremental* evaluation —
+        # a one-shot evaluation (a sweep of length one) never needs them.
+        # They may already exist on the shared entry from an earlier state.
         self._row_reach: list[int] | None = tables.row_reach
         self._desc: list[int] | None = tables.desc
 
         self._ckpt_costs = np.zeros(n)
         self._checkpointed = bytearray(n + 1)
-        self._ckpt_bits = 0
         self._charge_bits = tables.charge_template.copy()
         if self._kernels is None:
             # Byte-matrix machinery of the numpy fill: the refill gathers
@@ -566,8 +547,7 @@ class SweepState:
             # The C fill prices visited bits straight off _charge_bits and
             # re-derives truncated frontiers from the predecessor closures,
             # so the byte-LUT and scatter machinery is numpy-only.  What it
-            # does need are CSR mirrors of the candidate / predecessor lists
-            # plus per-row compaction buffers (sized for a full fill).
+            # does need are CSR mirrors of the candidate / predecessor lists.
             tables.ensure_native_fill()
             self._charge_lut = None
             self._cand_pad = None
@@ -577,12 +557,6 @@ class SweepState:
             self._cand_idx = tables.cand_idx
             self._pred_ptr = tables.pred_ptr
             self._pred_idx = tables.pred_idx
-            total = tables.cand_total
-            self._out_cols = np.empty(max(total, 1), dtype=np.int64)
-            self._out_vals = np.empty(max(total, 1))
-            self._out_off = np.empty(n + 1, dtype=np.int64)
-            self._out_counts = np.empty(n + 1, dtype=np.int64)
-            self._rows_buf = np.empty(n + 1, dtype=np.int64)
         self._fwords = np.zeros((n + 1, self._mask_words), dtype=np.uint64)
         self._cwords = np.zeros((n + 1, self._mask_words), dtype=np.uint64)
         # Fill scratch, grown lazily to the largest chunk actually needed
@@ -601,12 +575,9 @@ class SweepState:
 
         # loss_t[i, k] = loss[k][i] = W^i_k + R^i_k.  The transposed layout
         # makes both kernel reads (loss_t[i, :i]) and the Equation-(1) slab
-        # recompute contiguous.  written[k] tracks the nonzero entries of
-        # logical row k so a refill clears exactly what it wrote — never a
-        # full-matrix memset.  row_cache[k] remembers recent row contents
-        # keyed by the row's *relevant* configuration (checkpoint bits below
-        # k that the row can actually see), so probe sweeps restore
-        # oscillating rows by copy.
+        # recompute contiguous.  Only entries with i in candidates[k] can be
+        # nonzero, and a refill of row k overwrites all of them, so no
+        # refill ever needs to clear anything first.
         self._loss_t = np.zeros((n + 1, n + 1))
         # -lam-scaled mirror of loss_t: the numpy Theorem-3 recursion
         # accumulates pre-scaled running sums (one np.exp per position, no
@@ -615,10 +586,6 @@ class SweepState:
         self._neg_loss_t = (
             np.zeros((n + 1, n + 1)) if self._kernels is None else None
         )
-        self._written: list[Any] = [[] for _ in range(n + 1)]
-        self._row_cache: list[dict[int, tuple[Any, Any]]] = [
-            {} for _ in range(n + 1)
-        ]
 
         # values_t[i-1, k] = E[X_i | Z^i_k]; col_inf flags saturated columns
         # so the global saturation test stays O(n) per evaluation.  The C
@@ -731,7 +698,6 @@ class SweepState:
         for c in toggled:
             now_on = 0 if checkpointed[c] else 1
             checkpointed[c] = now_on
-            self._ckpt_bits ^= 1 << c
             self._ckpt_costs[c - 1] = self._raw_ckpt_costs[c - 1] if now_on else 0.0
             self._charge_bits[c] = (
                 self._recovery_cost[c] if now_on else self._weight[c]
@@ -900,129 +866,47 @@ class SweepState:
     def _reset_configuration(self) -> None:
         """Return to the pristine empty-set state after an aborted evaluation.
 
-        An exception inside :meth:`evaluate` can leave the checkpoint flags,
-        charge tables and loss matrices mutually inconsistent; everything
-        config-dependent is wiped so the following full recompute starts
-        from a known-good baseline.  (The per-row content cache survives:
-        its entries are keyed by the relevant configuration and remain
-        valid.)
+        An exception inside :meth:`evaluate` can leave the checkpoint flags
+        and charge tables mutually inconsistent; they are reset so the
+        following full recompute starts from a known-good baseline.  The
+        loss matrices need no wipe: that recompute refills every row, and a
+        refill overwrites every entry a row can hold.
         """
         n = self._n
         self._checkpointed[:] = bytes(n + 1)
-        self._ckpt_bits = 0
         self._ckpt_costs[:] = 0.0
         self._charge_bits[:] = 0.0
         self._charge_bits[1 : n + 1] = self._weight[1:]
         if self._kernels is None:
             self._charge_lut = _charge_lut(self._charge_bits)
-        self._loss_t[:] = 0.0
-        if self._neg_loss_t is not None:
-            self._neg_loss_t[:] = 0.0
-        self._written = [[] for _ in range(n + 1)]
         self._current = frozenset()
 
     # ------------------------------------------------------------------
-    # Algorithm-1 row refill (bulk closure-mask fill, content-cached)
+    # Algorithm-1 row refill (bulk closure-mask fill)
     # ------------------------------------------------------------------
     def _refill_rows(self, rows: list[int]) -> None:
         """Bring the logical loss rows in ``rows`` up to date, in bulk.
 
-        Row content is a pure function of the row's *relevant* configuration
-        (the checkpoint bits inside ``row_reach[k]``), so recently seen
-        contents are restored by copy from the per-row cache; everything
-        else is recomputed in one vectorized pipeline: gather all candidate
-        frontiers into a ``(R, M, mask_bytes)`` block, patch the truncated
-        ones from the prefix-closure table, prefix-OR along the candidate
-        axis, and read each candidate's visited set off as the XOR of
-        consecutive prefix rows (``P_j = P_{j-1} | F_j`` makes the fresh
-        bits ``P_j ^ P_{j-1}`` — the vectorized ``F_j & ~regenerated``).
-        Values come from the shared :func:`_mask_charges` canon, so they do
-        not depend on which rows are refilled together; cache restores are
-        bitwise exact for the same reason.
+        Every entry a fill of row ``k`` can write lies in ``candidates[k]``,
+        and each fill writes every one of those slots (``0.0`` where nothing
+        is charged), so a refill leaves exactly the matrix a fresh state
+        would hold — no clearing pass is needed.  The numpy fill is one
+        vectorized pipeline: gather all candidate frontiers into a
+        ``(R, M, mask_bytes)`` block, patch the truncated ones from the
+        prefix-closure table, prefix-OR along the candidate axis, and read
+        each candidate's visited set off as the XOR of consecutive prefix
+        rows (``P_j = P_{j-1} | F_j`` makes the fresh bits ``P_j ^ P_{j-1}``
+        — the vectorized ``F_j & ~regenerated``).  Values come from the
+        shared :func:`_mask_charges` canon, so they do not depend on which
+        rows are refilled together.
         """
-        loss_t = self._loss_t
-        written = self._written
-        ckpt_bits = self._ckpt_bits
-        reach = self._row_reach
-        caches = self._row_cache
-
-        # Partition into cache hits and misses, collecting every touched
-        # row's stale entries for one batched clear (never a full memset).
-        # Before the delta tables exist (the initializing full fill) there
-        # is no per-row relevant configuration to key the cache on, so
-        # every row is a miss and nothing is cached.
-        miss_rows: list[int] = []
-        miss_cfgs: list[int | None] = []
-        hit_cols: list = []
-        hit_vals: list = []
-        hit_ks: list[int] = []
-        hit_lens: list[int] = []
-        stale_arrays: list = []
-        stale_ks: list[int] = []
-        stale_lens: list[int] = []
-        for k in rows:
-            stale = written[k]
-            if len(stale):
-                stale_arrays.append(stale)
-                stale_ks.append(k)
-                stale_lens.append(len(stale))
-            if reach is None:
-                miss_rows.append(k)
-                miss_cfgs.append(None)
-                continue
-            cfg = ckpt_bits & reach[k]
-            cache = caches[k]
-            entry = cache.get(cfg)
-            if entry is None:
-                miss_rows.append(k)
-                miss_cfgs.append(cfg)
-            else:
-                # Re-insert on hit so eviction is LRU: the hot base
-                # configuration a probe sweep keeps returning to must not
-                # age out behind a stream of one-off probe configurations.
-                del cache[cfg]
-                cache[cfg] = entry
-                cols, vals = entry
-                written[k] = cols
-                if len(cols):
-                    hit_cols.append(cols)
-                    hit_vals.append(vals)
-                    hit_ks.append(k)
-                    hit_lens.append(len(cols))
-        neg_loss_t = self._neg_loss_t
-        if stale_arrays:
-            cat = np.concatenate(stale_arrays)
-            rep = np.repeat(
-                np.asarray(stale_ks, dtype=np.intp),
-                np.asarray(stale_lens, dtype=np.intp),
-            )
-            loss_t[cat, rep] = 0.0
-            if neg_loss_t is not None:
-                neg_loss_t[cat, rep] = 0.0
-        if hit_cols:
-            cat = np.concatenate(hit_cols)
-            rep = np.repeat(
-                np.asarray(hit_ks, dtype=np.intp),
-                np.asarray(hit_lens, dtype=np.intp),
-            )
-            vals = np.concatenate(hit_vals)
-            loss_t[cat, rep] = vals
-            if neg_loss_t is not None:
-                neg_loss_t[cat, rep] = vals * -self._lam
-        self.stats.rows_restored += len(rows) - len(miss_rows)
-        self.stats.rows_refilled += len(miss_rows)
-        if not miss_rows:
-            return
-
-        if not self._m_max:
-            empty = np.asarray([], dtype=np.intp)
-            for k, cfg in zip(miss_rows, miss_cfgs):
-                self._store_row(k, cfg, empty, None)
+        self.stats.rows_refilled += len(rows)
+        if not rows or not self._m_max:
             return
         if self._kernels is not None:
             # The C fill streams row by row with O(mask) scratch — no
             # chunking needed.
-            self._fill_miss_rows_native(miss_rows, miss_cfgs)
+            self._fill_rows_native(rows)
             return
         # Bound the scratch footprint: high-fan-out instances can have
         # candidate widths near n, so one monolithic (R, M, words) block
@@ -1030,40 +914,37 @@ class SweepState:
         # simply split into chunks of bounded byte size; per-row values are
         # grouping-independent by construction (the _mask_charges canon).
         chunk = max(1, _FILL_CHUNK_BYTES // (self._m_max * self._mask_bytes))
-        for start in range(0, len(miss_rows), chunk):
-            self._fill_miss_rows(
-                miss_rows[start : start + chunk],
-                miss_cfgs[start : start + chunk],
-            )
+        for start in range(0, len(rows), chunk):
+            self._fill_rows(rows[start : start + chunk])
 
-    def _fill_miss_rows(
-        self, miss_rows: list[int], miss_cfgs: list[int | None]
-    ) -> None:
-        """Recompute one bounded chunk of cache-missed rows vectorized."""
+    def _fill_rows(self, rows: list[int]) -> None:
+        """Recompute one bounded chunk of rows vectorized."""
         loss_t = self._loss_t
         neg_loss_t = self._neg_loss_t
-        rows_arr = np.asarray(miss_rows, dtype=np.intp)
-        n_miss = rows_arr.shape[0]
+        rows_arr = np.asarray(rows, dtype=np.intp)
+        n_rows = rows_arr.shape[0]
         width = int(self._cand_len[rows_arr].max())
-        empty = rows_arr[:0]
         if width == 0:
-            for k, cfg in zip(miss_rows, miss_cfgs):
-                self._store_row(k, cfg, empty, None)
             return
         idx = np.take(self._cand_pad[:, :width], rows_arr, axis=0)
-        need = n_miss * width
+        # Overwrite every candidate slot: zero the gathered block, then
+        # write the charged values.  Padding slots hold position 0, so they
+        # land in row 0 of the matrices, which nothing reads.
+        loss_t[idx, rows_arr[:, None]] = 0.0
+        neg_loss_t[idx, rows_arr[:, None]] = 0.0
+        need = n_rows * width
         if self._f3_buf is None or self._f3_buf.shape[0] < need:
             self._f3_buf = np.empty((need, self._mask_words), dtype=np.uint64)
             self._v3_buf = np.empty((need, self._mask_words), dtype=np.uint64)
         frontier_block = self._f3_buf[:need]
         np.take(self._fwords, idx.reshape(-1), axis=0, out=frontier_block)
-        acc = frontier_block.reshape(n_miss, width, self._mask_words)
+        acc = frontier_block.reshape(n_rows, width, self._mask_words)
         trunc_rows: list = []
         trunc_slots: list = []
         trunc_srcs: list = []
         trunc_dst = self._trunc_dst
         trunc_src = self._trunc_src
-        for local, k in enumerate(miss_rows):
+        for local, k in enumerate(rows):
             dst = trunc_dst[k]
             if dst is not None:
                 trunc_rows.append(np.full(dst.shape[0], local, dtype=np.intp))
@@ -1074,7 +955,7 @@ class SweepState:
                 self._pf_flat[np.concatenate(trunc_srcs)]
             )
         np.bitwise_or.accumulate(acc, axis=1, out=acc)
-        visited = self._v3_buf[:need].reshape(n_miss, width, self._mask_words)
+        visited = self._v3_buf[:need].reshape(n_rows, width, self._mask_words)
         visited[:, 0] = acc[:, 0]
         if width > 1:
             np.bitwise_xor(acc[:, 1:], acc[:, :-1], out=visited[:, 1:])
@@ -1084,54 +965,28 @@ class SweepState:
                 visited[rowsel, slotsel].view(np.uint8), self._charge_lut
             )
             cols = idx[rowsel, slotsel]
-            if not self._charge_positive:
-                keep = vals != 0.0
-                if not keep.all():
-                    vals = vals[keep]
-                    cols = cols[keep]
-                    rowsel = rowsel[keep]
             ks = rows_arr[rowsel]
             loss_t[cols, ks] = vals
             neg_loss_t[cols, ks] = vals * -self._lam
-            bounds = np.searchsorted(rowsel, np.arange(n_miss + 1)).tolist()
-            for local, (k, cfg) in enumerate(zip(miss_rows, miss_cfgs)):
-                lo = bounds[local]
-                hi = bounds[local + 1]
-                if lo == hi:
-                    self._store_row(k, cfg, empty, None)
-                else:
-                    self._store_row(k, cfg, cols[lo:hi], vals[lo:hi])
-        else:
-            for k, cfg in zip(miss_rows, miss_cfgs):
-                self._store_row(k, cfg, empty, None)
 
-    def _fill_miss_rows_native(
-        self, miss_rows: list[int], miss_cfgs: list[int | None]
-    ) -> None:
-        """Recompute cache-missed rows through the compiled Algorithm-1 fill.
+    def _fill_rows_native(self, rows: list[int]) -> None:
+        """Recompute rows through the compiled Algorithm-1 fill.
 
         The C routine walks the same closure/frontier words as the numpy
         fill (truncated frontiers are re-derived as the OR of the
         predecessors' closures below the row — exactly the prefix the flat
         table stores), prices visited bits in ascending position order off
-        ``_charge_bits``, writes nonzero values into ``loss_t`` and compacts
-        them into per-row output slices for the shared row bookkeeping.
+        ``_charge_bits`` and writes every candidate's value into ``loss_t``.
         Rows are priced independently, so the multithreaded split of large
         fills cannot change any value.
         """
         kernels = self._kernels
-        n_rows = len(miss_rows)
-        rows = self._rows_buf[:n_rows]
-        rows[:] = miss_rows
-        off = self._out_off[:n_rows]
-        off[0] = 0
-        if n_rows > 1:
-            np.cumsum(self._cand_len[rows[:-1]], out=off[1:])
-        counts = self._out_counts[:n_rows]
+        rows_arr = np.asarray(rows, dtype=np.int64)
+        n_rows = rows_arr.shape[0]
         threads = kernels.fill_threads if n_rows >= 128 else 1
         kernels.fill_rows(
             n_rows,
-            rows.ctypes.data,
+            rows_arr.ctypes.data,
             self._mask_words,
             self._fwords.ctypes.data,
             self._cwords.ctypes.data,
@@ -1142,53 +997,8 @@ class SweepState:
             self._charge_bits.ctypes.data,
             self._loss_t.ctypes.data,
             self._n + 1,
-            self._out_cols.ctypes.data,
-            self._out_vals.ctypes.data,
-            off.ctypes.data,
-            counts.ctypes.data,
             threads,
         )
-        # Same bookkeeping _store_row does, inlined to copy each compacted
-        # slice exactly once (the shared output buffers are reused by the
-        # next fill, so views must not escape).
-        out_cols = self._out_cols
-        out_vals = self._out_vals
-        written = self._written
-        caches = self._row_cache
-        off_list = off.tolist()
-        count_list = counts.tolist()
-        for r, (k, cfg) in enumerate(zip(miss_rows, miss_cfgs)):
-            lo = off_list[r]
-            hi = lo + count_list[r]
-            cols = out_cols[lo:hi].copy()
-            written[k] = cols
-            if cfg is None:
-                continue
-            cache = caches[k]
-            if len(cache) >= _ROW_CACHE_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[cfg] = (cols, out_vals[lo:hi].copy())
-
-    def _store_row(self, k: int, cfg: int | None, cols: Any, vals: Any) -> None:
-        """Record a freshly computed row in ``written`` and the row cache.
-
-        ``cfg is None`` (the initializing full fill, before the delta tables
-        exist) records the row without caching it.  Cached contents are
-        copied out of their batch arrays: a slice view would pin the whole
-        chunk's base array for the lifetime of the cache entry.  Copies are
-        bitwise identical, so the exactness guarantee is unaffected.
-        """
-        if cfg is None:
-            self._written[k] = cols
-            return
-        cols = cols.copy()
-        if vals is not None:
-            vals = vals.copy()
-        self._written[k] = cols
-        cache = self._row_cache[k]
-        if len(cache) >= _ROW_CACHE_ENTRIES:
-            cache.pop(next(iter(cache)))
-        cache[cfg] = (cols, vals)
 
     # ------------------------------------------------------------------
     # Theorem-3 kernel: Equation-(1) slab + recursion resumed at the pivot

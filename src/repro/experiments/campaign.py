@@ -47,6 +47,16 @@ class AggregatedResult:
         return self.std_ratio / math.sqrt(self.n_seeds)
 
 
+def _rank_key(entry: AggregatedResult) -> tuple[float, str]:
+    """Ranking order: the mean ratio as the report prints it, then the name.
+
+    Ranking on the raw mean would let the last ulp — which can differ
+    between evaluation backends — order lines whose printed means tie, so
+    a report would depend on more than what it prints.
+    """
+    return float(f"{entry.mean_ratio:.3f}"), entry.heuristic
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     """All rows of a campaign plus their per-heuristic aggregation.
@@ -85,6 +95,8 @@ class CampaignResult:
     ) -> tuple[AggregatedResult, ...]:
         """Heuristics of one point ordered by mean overhead ratio (best first).
 
+        Means that print the same (3 decimals) are ordered by heuristic name.
+
         ``downtime`` / ``processors`` restrict the ranking to one platform
         point; ``None`` keeps every platform of the (family, size) pair —
         fine for paper-style grids where those axes do not vary.
@@ -97,7 +109,7 @@ class CampaignResult:
             and (downtime is None or a.downtime == downtime)
             and (processors is None or a.processors == processors)
         ]
-        return tuple(sorted(entries, key=lambda a: a.mean_ratio))
+        return tuple(sorted(entries, key=_rank_key))
 
     def best_heuristic(self, family: str, n_tasks: int) -> str:
         """Name of the heuristic with the lowest mean ratio at one point."""
@@ -138,7 +150,7 @@ class CampaignResult:
                 a.failure_rate,
                 a.downtime,
                 a.processors,
-                a.mean_ratio,
+                *_rank_key(a),
             ),
         ):
             platform_cells = (f" {entry.failure_rate:>9g}" if rate_varies else "") + (

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments import Scenario
-from repro.experiments.campaign import aggregate_rows, run_campaign
+from repro.experiments.campaign import (
+    AggregatedResult,
+    CampaignResult,
+    aggregate_rows,
+    run_campaign,
+)
 
 
 HEURISTICS = ("DF-CkptW", "DF-CkptNvr")
@@ -39,8 +46,8 @@ class TestRunCampaign:
     def test_ranking_and_best(self, campaign):
         ranking = campaign.ranking("montage", 20)
         assert [entry.heuristic for entry in ranking][0] == campaign.best_heuristic("montage", 20)
-        ratios = [entry.mean_ratio for entry in ranking]
-        assert ratios == sorted(ratios)
+        printed = [float(f"{entry.mean_ratio:.3f}") for entry in ranking]
+        assert printed == sorted(printed)
         # The searchful heuristic cannot lose to never-checkpointing on average.
         assert campaign.best_heuristic("montage", 20) == "DF-CkptW"
 
@@ -122,3 +129,53 @@ class TestAggregateRows:
 
     def test_empty(self):
         assert aggregate_rows([]) == ()
+
+
+class TestReportOrder:
+    @staticmethod
+    def _entry(heuristic, mean_ratio):
+        return AggregatedResult(
+            family="montage",
+            n_tasks=20,
+            failure_rate=1e-3,
+            heuristic=heuristic,
+            n_seeds=3,
+            mean_ratio=mean_ratio,
+            std_ratio=0.0,
+            min_ratio=mean_ratio,
+            max_ratio=mean_ratio,
+            mean_makespan=1.0,
+            mean_checkpoints=1.0,
+        )
+
+    def test_ties_in_the_printed_mean_follow_name_order(self):
+        """Means 1 ulp apart print the same, so the name decides the order —
+        whichever of the two carries the larger last bit."""
+        low = 1.2345678
+        high = math.nextafter(low, math.inf)
+        names = []
+        reports = []
+        for bf_mean, df_mean in ((high, low), (low, high)):
+            result = CampaignResult(
+                rows=(),
+                aggregated=(
+                    self._entry("DF-CkptW", df_mean),
+                    self._entry("BF-CkptW", bf_mean),
+                ),
+            )
+            names.append([a.heuristic for a in result.ranking("montage", 20)])
+            reports.append(result.render())
+            assert result.best_heuristic("montage", 20) == "BF-CkptW"
+        assert names == [["BF-CkptW", "DF-CkptW"]] * 2
+        assert reports[0] == reports[1]
+        assert reports[0].index("BF-CkptW") < reports[0].index("DF-CkptW")
+
+    def test_printed_mean_still_ranks_first(self):
+        result = CampaignResult(
+            rows=(),
+            aggregated=(self._entry("BF-CkptW", 1.236), self._entry("DF-CkptW", 1.235)),
+        )
+        assert [a.heuristic for a in result.ranking("montage", 20)] == [
+            "DF-CkptW",
+            "BF-CkptW",
+        ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -17,9 +18,12 @@ from repro import (
     expected_execution_time,
     expected_makespan,
 )
+from repro.core.evaluator_native import native_available
+from repro.experiments.scenarios import DEFAULT_FAILURE_RATES
+from repro.heuristics import linearize
 from repro.theory import chain_expected_makespan, fork_expected_makespan, join_expected_makespan
 from repro.theory.join import join_schedule
-from repro.workflows import generators
+from repro.workflows import generators, pegasus
 
 
 class TestDegenerateCases:
@@ -193,3 +197,74 @@ class TestCheckpointTradeoff:
         platform = Platform.from_platform_rate(1.0)
         value = evaluate_schedule(Schedule(wf, range(3), ()), platform).expected_makespan
         assert math.isinf(value)
+
+
+_NATIVE_MARK = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain: native backend unavailable"
+)
+
+#: (family, size, backend): the four Pegasus families at paper sizes; the
+#: pure-Python reference stops at n = 100 to keep the suite fast.
+_SCALING_CASES = [
+    pytest.param(
+        family,
+        n_tasks,
+        backend,
+        marks=[_NATIVE_MARK] if backend == "native" else [],
+        id=f"{family}-{n_tasks}-{backend}",
+    )
+    for family in pegasus.WORKFLOW_FAMILIES
+    for n_tasks in (20, 100, 300)
+    for backend in ("python", "numpy", "native")
+    if not (backend == "python" and n_tasks > 100)
+]
+
+
+class TestTimeScalingOracle:
+    """Changing the unit of time is invisible to Theorem 3.
+
+    Scaling every w, c, r and D by alpha and lambda by 1/alpha leaves every
+    exposure ``lambda * t`` unchanged and scales every time by alpha, so
+    E[T] must scale by alpha.  For a power-of-two alpha every scaled
+    operand and every rounding is exact, so the relation holds bit for bit;
+    any other alpha perturbs the inputs by an ulp and holds to 1e-12.  The
+    oracle checks each backend at paper sizes without comparing one
+    backend against another.
+    """
+
+    @staticmethod
+    def _evaluate(workflow, order, checkpointed, family, alpha, backend):
+        scaled = workflow.map_tasks(
+            lambda t: dataclasses.replace(
+                t,
+                weight=t.weight * alpha,
+                checkpoint_cost=t.checkpoint_cost * alpha,
+                recovery_cost=t.recovery_cost * alpha,
+            )
+        )
+        platform = Platform.from_platform_rate(
+            DEFAULT_FAILURE_RATES[family] / alpha, downtime=30.0 * alpha
+        )
+        return evaluate_schedule(
+            Schedule(scaled, order, checkpointed), platform, backend=backend
+        )
+
+    @pytest.mark.parametrize("family, n_tasks, backend", _SCALING_CASES)
+    def test_scaling_time_scales_the_expected_makespan(self, family, n_tasks, backend):
+        workflow = pegasus.generate(family, n_tasks, seed=4).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        order = linearize(workflow, "DF")
+        checkpointed = frozenset(order[::3])
+        base = self._evaluate(workflow, order, checkpointed, family, 1.0, backend)
+        assert math.isfinite(base.expected_makespan)
+        for alpha in (4.0, 0.125):
+            scaled = self._evaluate(workflow, order, checkpointed, family, alpha, backend)
+            assert scaled.expected_makespan == alpha * base.expected_makespan
+            assert scaled.expected_task_times == tuple(
+                alpha * t for t in base.expected_task_times
+            )
+        scaled = self._evaluate(workflow, order, checkpointed, family, 3.0, backend)
+        assert scaled.expected_makespan == pytest.approx(
+            3.0 * base.expected_makespan, rel=1e-12, abs=0.0
+        )

@@ -200,7 +200,10 @@ def test_asan_build_agrees_under_preload(fresh_probe, tmp_path):
 #: A self-contained harness for ``repro_fill_rows``: a chain-plus-shortcuts
 #: instance small enough to embed but wide enough that the
 #: ``schedule(dynamic, 16)`` loop actually spreads rows across threads.
-#: Prints one checksum line; any data race is TSan's to report.
+#: ``loss_t`` starts out filled with a -1.0 sentinel, so ``entries=`` counts
+#: the slots the fill wrote.  Prints one line with that count and a
+#: position-weighted checksum, both taken over the whole ``loss_t``; any
+#: data race is TSan's to report.
 _TSAN_DRIVER = textwrap.dedent(
     """
     #include <stdint.h>
@@ -214,8 +217,7 @@ _TSAN_DRIVER = textwrap.dedent(
         const int64_t *cand_ptr, const int64_t *cand_idx,
         const int64_t *pred_ptr, const int64_t *pred_idx,
         const double *charges, double *loss_t, int64_t n1,
-        int64_t *out_cols, double *out_vals, const int64_t *out_off,
-        int64_t *out_counts, int64_t threads);
+        int64_t threads);
 
     enum { N = 48, WORDS = 1 };
 
@@ -224,9 +226,9 @@ _TSAN_DRIVER = textwrap.dedent(
         int64_t n = N, n1 = N + 1;
 
         /* every task's single predecessor is task 0, so every candidate
-         * takes the precomputed-frontier path and each candidate of a row
-         * charges exactly one fresh bit -- n-k+1 output entries per row,
-         * maximising concurrent writes into the shared output arrays */
+         * takes the precomputed-frontier path and every candidate of a row
+         * charges something -- n-k+1 written entries per row, maximising
+         * concurrent writes into the shared loss matrix */
         int64_t pred_ptr[N + 2], pred_idx[N + 1];
         for (int64_t i = 0; i <= n; i++) {
             pred_ptr[i] = i;
@@ -256,35 +258,27 @@ _TSAN_DRIVER = textwrap.dedent(
         for (int b = 0; b < WORDS * 64; b++)
             charges[b] = 0.5 * (double)(b + 1);
 
-        double *loss_t = calloc((size_t)(n + 1) * (size_t)n1, sizeof(double));
+        size_t cells = (size_t)(n + 1) * (size_t)n1;
+        double *loss_t = malloc(cells * sizeof(double));
+        for (size_t c = 0; c < cells; c++)
+            loss_t[c] = -1.0;
         int64_t rows[N];
         for (int64_t r = 0; r < n; r++)
             rows[r] = r + 1;
 
-        int64_t *out_cols = malloc(sizeof(int64_t) * N * (N + 1));
-        double *out_vals = malloc(sizeof(double) * N * (N + 1));
-        int64_t out_off[N], out_counts[N];
-        for (int64_t r = 0; r < n; r++)
-            out_off[r] = r * (n + 1);
-
         repro_fill_rows(n, rows, WORDS, fwords, cwords, cand_ptr, cand_idx,
-                        pred_ptr, pred_idx, charges, loss_t, n1, out_cols,
-                        out_vals, out_off, out_counts, threads);
+                        pred_ptr, pred_idx, charges, loss_t, n1, threads);
 
         double checksum = 0.0;
         int64_t entries = 0;
-        for (int64_t r = 0; r < n; r++) {
-            entries += out_counts[r];
-            for (int64_t j = 0; j < out_counts[r]; j++)
-                checksum += out_vals[out_off[r] + j]
-                            * (double)(out_cols[out_off[r] + j] + 1);
+        for (size_t c = 0; c < cells; c++) {
+            if (loss_t[c] != -1.0)
+                entries++;
+            checksum += loss_t[c] * (double)(c + 1);
         }
-        for (int64_t i = 0; i <= n; i++)
-            for (int64_t k = 0; k < n1; k++)
-                checksum += loss_t[i * n1 + k];
         printf("entries=%lld checksum=%.17g\\n",
                (long long)entries, checksum);
-        free(cand_idx); free(loss_t); free(out_cols); free(out_vals);
+        free(cand_idx); free(loss_t);
         return 0;
     }
     """
@@ -359,4 +353,5 @@ def test_tsan_openmp_fill_is_race_free_and_deterministic(tmp_path):
         "thread count changed the fill output — the rows-are-independent "
         f"contract is broken: {outputs}"
     )
-    assert outputs[1].startswith("entries=")
+    # Row k writes one entry per candidate i = k..N: N (N + 1) / 2 in all.
+    assert outputs[1].startswith(f"entries={48 * 49 // 2} "), outputs[1]

@@ -4,14 +4,16 @@ The numerical heart of the engine — bit-for-bit equality with per-candidate
 evaluation across random DAGs, platforms and toggle sequences — is pinned by
 the property suite in ``tests/test_backend_equivalence.py``.  This module
 covers the engine's contract: backend resolution and the eager fallback,
-validation, bookkeeping (``current`` / ``stats``), the row-content cache, and
-the saturation / structural-zero regimes.
+validation, bookkeeping (``current`` / ``stats``), refills that leave no stale
+loss entries behind, and the saturation / structural-zero regimes.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -23,8 +25,20 @@ from repro import (
     batch_evaluate,
     evaluate_schedule,
 )
+from repro.core.evaluator_native import native_available
 from repro.heuristics import linearize
 from repro.workflows import generators, pegasus
+
+ARRAY_BACKENDS = [
+    "numpy",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(),
+            reason="no C toolchain: native backend unavailable",
+        ),
+    ),
+]
 
 
 @pytest.fixture
@@ -93,18 +107,54 @@ class TestContract:
             ref = _reference(workflow, order, selected, platform).expected_makespan
             assert all(value == ref for value in observed)
 
-    def test_revert_to_base_restores_rows_from_cache(self, instance):
+    def test_revert_to_base_matches_reference(self, instance):
         workflow, order, platform = instance
         state = SweepState(workflow, order, platform, backend="numpy")
         base = frozenset(order[::4])
         state.evaluate(frozenset())
-        state.evaluate(base)          # rows cached under the base configuration
+        state.evaluate(base)
         state.evaluate(base | {order[1]})
-        got = state.evaluate(base)    # ... and restored by copy on the revert
-        assert state.stats.rows_restored > 0
+        got = state.evaluate(base)    # the revert refills the probed rows
         ref = _reference(workflow, order, base, platform)
         assert got.expected_makespan == ref.expected_makespan
         assert got.expected_task_times == ref.expected_task_times
+
+    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+    @pytest.mark.parametrize(
+        "family, n_tasks, cost_factor",
+        [
+            ("montage", 63, 0.1),
+            ("cybershake", 64, 0.1),
+            ("ligo", 65, 0.1),
+            # Zero recovery costs: visited sets of checkpointed positions
+            # charge exactly 0.0, which must still overwrite a stale entry.
+            ("montage", 64, 0.0),
+        ],
+    )
+    def test_refill_leaves_no_stale_entries(self, backend, family, n_tasks, cost_factor):
+        """Every refill overwrites its rows: the loss matrix after any walk
+        equals the one a fresh state builds for the same set."""
+        workflow = pegasus.generate(family, n_tasks, seed=11).with_checkpoint_costs(
+            mode="proportional", factor=cost_factor
+        )
+        order = linearize(workflow, "DF")
+        platform = Platform.from_platform_rate(1e-3, downtime=2.0)
+        state = SweepState(workflow, order, platform, backend=backend)
+        rng = random.Random(n_tasks)
+        current: frozenset[int] = frozenset()
+        previous = current
+        for _ in range(40):
+            if rng.random() < 0.3:
+                current, previous = previous, current  # revert probe
+            else:
+                toggles = rng.sample(range(n_tasks), rng.randint(1, 3))
+                current, previous = current ^ frozenset(toggles), current
+            state.evaluate(current)
+            fresh = SweepState(workflow, order, platform, backend=backend)
+            fresh.evaluate(current)
+            assert np.array_equal(state._loss_t, fresh._loss_t)
+            if fresh._neg_loss_t is not None:
+                assert np.array_equal(state._neg_loss_t, fresh._neg_loss_t)
 
     def test_stats_accounting(self, instance):
         workflow, order, platform = instance
