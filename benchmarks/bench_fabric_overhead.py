@@ -33,14 +33,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.experiments import run_campaign
-from repro.experiments.fabric import FabricCoordinator, FabricSpec, FabricWorker
+from repro.experiments import CampaignSpec, run_campaign
+from repro.experiments.fabric import FabricCoordinator, FabricWorker
 
 from _bench_utils import add_output_argument, write_json_report, report_scaffold
 
 #: One scenario per shard, two shards: both workers get real work and the
 #: byte-identity comparison still covers a multi-scenario merge.
-SPEC = FabricSpec(
+SPEC = CampaignSpec(
     families=("montage",),
     sizes=(20, 30),
     seeds=(0, 1, 2),

@@ -20,9 +20,16 @@ can be scripted without writing Python:
   the lambda x D sweep); ``--shard k/N`` runs one deterministic shard of the
   grid and ``repro campaign merge`` re-assembles shard CSVs into the exact
   unsharded report;
+* ``repro fabric`` — the same campaign spread over machines: ``coordinate``
+  leases the shards of the grid to ``work`` processes, which may share a
+  ``cache-server``; ``campaign`` and ``fabric coordinate`` take the same
+  grid options and shard one :class:`~repro.experiments.CampaignSpec`;
 * ``repro serve`` — long-running HTTP/JSON service exposing solve / evaluate
   / analyse with cross-request batching and Prometheus-style ``/metrics``
   (see :mod:`repro.service`);
+* ``repro backends`` — list the evaluation backends, their availability and
+  what ``auto`` resolves to;
+* ``repro lint`` — reprolint, the determinism / cache-key invariant checker;
 * ``repro cache`` — inspect / clear the persistent result cache.
 
 ``repro --json <command> ...`` switches failures to a machine-readable JSON
@@ -34,10 +41,13 @@ The single-platform commands (``solve`` / ``evaluate`` / ``analyse`` /
 ``--downtime`` / ``--processors`` triple scenarios use, so a direct
 evaluation and the equivalent campaign scenario price the same platform.
 
-The evaluation-heavy sub-commands accept ``--backend auto|python|numpy`` to
-pick the Theorem-3 evaluation backend (default ``auto``: NumPy when it is
-importable and the instance is large enough, Python otherwise; the
-``REPRO_EVAL_BACKEND`` environment variable overrides the default).
+The evaluation-heavy sub-commands accept ``--backend auto|python|numpy|native``
+to pick the Theorem-3 evaluation backend.  The default ``auto`` picks, per
+instance, the highest-priority available backend — the compiled ``native``
+kernel when a C compiler is present, else ``numpy`` — for instances of 32
+tasks or more, and the Python reference below that; the
+``REPRO_EVAL_BACKEND`` environment variable overrides the default.  Backends
+agree within 1e-9 relative, not bit for bit.
 
 ``figures`` and ``campaign`` accept ``--jobs N`` (worker processes) and
 ``--cache PATH`` (persistent result cache); both route through the campaign
@@ -64,8 +74,8 @@ from .core.evaluator import evaluate_schedule
 from .core.platform import Platform, PlatformSpec
 from .experiments import (
     CampaignResult,
+    CampaignSpec,
     all_figures,
-    lambda_downtime_grid,
     parse_shard,
     plot_robustness,
     read_shard_marker,
@@ -75,14 +85,8 @@ from .experiments import (
     run_robustness,
     save_robustness_report,
     save_rows_csv,
-    scenario_grid,
 )
-from .heuristics import (
-    HEURISTIC_NAMES,
-    candidate_counts,
-    parse_heuristic_name,
-    solve_heuristic,
-)
+from .heuristics import HEURISTIC_NAMES, parse_heuristic_name, solve_heuristic
 from .runtime import CampaignJournal, DiskCache, ResultCache, read_disk_stats, resolve_jobs
 from .heuristics.refinement import local_search_checkpoints
 from .simulation import run_monte_carlo
@@ -216,33 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = subparsers.add_parser(
         "campaign", help="multi-seed heuristic sweep with aggregation"
     )
-    campaign.add_argument("--families", default="montage",
-                          help="comma-separated workflow families")
-    campaign.add_argument("--sizes", default="30,60",
-                          help="comma-separated task counts")
-    campaign.add_argument("--downtimes", default=None,
-                          help="comma-separated downtimes D (seconds; grid axis, "
-                               "default 0)")
-    campaign.add_argument("--processors", default=None,
-                          help="comma-separated processor counts p (grid axis, "
-                               "default 1; platform lambda = p x per-processor "
-                               "lambda)")
-    campaign.add_argument("--preset", choices=("grid", "lambda-downtime"),
-                          default="grid",
-                          help="'grid': families x sizes x downtimes x processors; "
-                               "'lambda-downtime': the lambda x D sweep preset at "
-                               "the first --sizes value")
-    campaign.add_argument("--seeds", default="0,1,2",
-                          help="comma-separated instance seeds")
-    campaign.add_argument("--heuristics", default="",
-                          help="comma-separated heuristic names (default: all 14)")
-    campaign.add_argument("--checkpoint-mode", choices=("proportional", "constant"),
-                          default="proportional")
-    campaign.add_argument("--checkpoint-factor", type=float, default=0.1)
-    campaign.add_argument("--checkpoint-value", type=float, default=0.0)
-    campaign.add_argument("--search-mode", choices=("exhaustive", "geometric"),
-                          default="geometric")
-    campaign.add_argument("--max-candidates", type=int, default=30)
+    _add_grid_arguments(campaign)
     campaign.add_argument("--shard", default=None, metavar="K/N",
                           help="run only the k-th of N deterministic grid shards "
                                "(1-based, e.g. 1/2); re-assemble shard CSVs with "
@@ -302,29 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition a campaign into TTL-leased shards and serve them to "
              "'repro fabric work' processes (resumable via --journal)",
     )
-    coordinate.add_argument("--families", default="montage",
-                            help="comma-separated workflow families")
-    coordinate.add_argument("--sizes", default="30,60",
-                            help="comma-separated task counts")
-    coordinate.add_argument("--downtimes", default=None,
-                            help="comma-separated downtimes D (grid axis, default 0)")
-    coordinate.add_argument("--processors", default=None,
-                            help="comma-separated processor counts p (grid axis, "
-                                 "default 1)")
-    coordinate.add_argument("--preset", choices=("grid", "lambda-downtime"),
-                            default="grid")
-    coordinate.add_argument("--seeds", default="0,1,2",
-                            help="comma-separated instance seeds")
-    coordinate.add_argument("--heuristics", default="",
-                            help="comma-separated heuristic names (default: all 14)")
-    coordinate.add_argument("--checkpoint-mode",
-                            choices=("proportional", "constant"),
-                            default="proportional")
-    coordinate.add_argument("--checkpoint-factor", type=float, default=0.1)
-    coordinate.add_argument("--checkpoint-value", type=float, default=0.0)
-    coordinate.add_argument("--search-mode", choices=("exhaustive", "geometric"),
-                            default="geometric")
-    coordinate.add_argument("--max-candidates", type=int, default=30)
+    _add_grid_arguments(coordinate)
     coordinate.add_argument("--shards", type=int, default=2, metavar="N",
                             help="number of deterministic grid shards to lease out "
                                  "(default 2)")
@@ -496,6 +452,39 @@ def build_parser() -> argparse.ArgumentParser:
     cache_clear.add_argument("path", help="cache file created via --cache PATH")
 
     return parser
+
+
+def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """The campaign grid options of ``campaign`` and ``fabric coordinate``
+    (see :func:`_campaign_spec`)."""
+    grid = parser.add_argument_group("campaign grid")
+    grid.add_argument("--families", default="montage",
+                      help="comma-separated workflow families")
+    grid.add_argument("--sizes", default="30,60",
+                      help="comma-separated task counts")
+    grid.add_argument("--downtimes", default=None,
+                      help="comma-separated downtimes D (seconds; grid axis, "
+                           "default 0)")
+    grid.add_argument("--processors", default=None,
+                      help="comma-separated processor counts p (grid axis, "
+                           "default 1; platform lambda = p x per-processor "
+                           "lambda)")
+    grid.add_argument("--preset", choices=("grid", "lambda-downtime"),
+                      default="grid",
+                      help="'grid': families x sizes x downtimes x processors; "
+                           "'lambda-downtime': the lambda x D sweep preset at "
+                           "the first --sizes value")
+    grid.add_argument("--seeds", default="0,1,2",
+                      help="comma-separated instance seeds")
+    grid.add_argument("--heuristics", default="",
+                      help="comma-separated heuristic names (default: all 14)")
+    grid.add_argument("--checkpoint-mode", choices=("proportional", "constant"),
+                      default="proportional")
+    grid.add_argument("--checkpoint-factor", type=float, default=0.1)
+    grid.add_argument("--checkpoint-value", type=float, default=0.0)
+    grid.add_argument("--search-mode", choices=("exhaustive", "geometric"),
+                      default="geometric")
+    grid.add_argument("--max-candidates", type=int, default=30)
 
 
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
@@ -807,49 +796,50 @@ def _split_csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    if getattr(args, "campaign_command", None) == "merge":
-        return _cmd_campaign_merge(args)
-    # Validate everything cheap *before* opening the cache, so a rejected
-    # invocation never leaves a stray cache file behind.
-    resolve_jobs(args.jobs)
-    heuristics = _split_csv(args.heuristics) or list(HEURISTIC_NAMES)
-    for heuristic in heuristics:
-        parse_heuristic_name(heuristic)
-    if args.search_mode == "geometric":
-        # Probe call: raises the library's own ValueError for a bad budget
-        # (e.g. --max-candidates 1) before any cache file is created.
-        candidate_counts(3, mode="geometric", max_candidates=args.max_candidates)
-    families = _split_csv(args.families)
-    sizes = [int(s) for s in _split_csv(args.sizes)]
-    seeds = [int(s) for s in _split_csv(args.seeds)]
-    downtimes = (
-        [float(d) for d in _split_csv(args.downtimes)]
-        if args.downtimes is not None
-        else None
+def _campaign_spec(args: argparse.Namespace, n_shards: int) -> CampaignSpec:
+    """The campaign the grid options describe, split into ``n_shards``.
+
+    Parsing lives here; every check of the grid lives in the
+    :class:`CampaignSpec` constructor, so ``campaign`` (whole or one
+    ``--shard``) and ``fabric coordinate`` refuse the same input with the
+    same message before they create a cache file, a journal or a socket.
+    """
+
+    def parsed(text: str, kind: type) -> tuple:
+        return tuple(kind(part) for part in _split_csv(text))
+
+    def axis(text: str | None, kind: type) -> tuple | None:
+        return None if text is None else parsed(text, kind)
+
+    return CampaignSpec(
+        families=tuple(_split_csv(args.families)),
+        sizes=parsed(args.sizes, int),
+        downtimes=axis(args.downtimes, float),
+        processors=axis(args.processors, int),
+        preset=args.preset,
+        seeds=parsed(args.seeds, int),
+        heuristics=tuple(_split_csv(args.heuristics)),
+        checkpoint_mode=args.checkpoint_mode,
+        checkpoint_factor=args.checkpoint_factor,
+        checkpoint_value=args.checkpoint_value,
+        search_mode=args.search_mode,
+        max_candidates=args.max_candidates,
+        n_shards=n_shards,
     )
-    processors = (
-        [int(p) for p in _split_csv(args.processors)]
-        if args.processors is not None
-        else None
-    )
-    shard = parse_shard(args.shard) if args.shard else None
-    if not families:
-        raise ValueError("at least one family is required")
-    if not sizes:
-        raise ValueError("at least one size is required")
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if downtimes is not None and not downtimes:
-        raise ValueError("at least one downtime is required")
-    if processors is not None and not processors:
-        raise ValueError("at least one processor count is required")
-    for path_arg in (args.output, args.report):
+
+
+def _check_output_paths(*paths: str | None) -> None:
+    """Refuse an output whose directory is missing or unwritable, up front."""
+    for path_arg in paths:
         if path_arg:
             out_parent = Path(path_arg).parent
             if not out_parent.exists():
                 raise ValueError(f"output directory {out_parent} does not exist")
             _check_writable(out_parent)
+
+
+def _journal_path(args: argparse.Namespace) -> str | None:
+    """The ``--journal`` / ``--resume`` path, checked before any work."""
     if args.journal and args.resume and args.journal != args.resume:
         raise ValueError(
             "--journal and --resume point at different files; give only one"
@@ -859,43 +849,68 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     journal_path = args.resume or args.journal
     if journal_path:
         _check_writable(Path(journal_path).parent)
-    if args.preset == "lambda-downtime":
-        preset_kwargs = {}
-        if downtimes is not None:
-            preset_kwargs["downtimes"] = downtimes
-        if processors is not None:
-            preset_kwargs["processors"] = processors
-        scenarios = lambda_downtime_grid(
-            families,
-            n_tasks=sizes[0],
-            checkpoint_mode=args.checkpoint_mode,
-            checkpoint_factor=args.checkpoint_factor,
-            checkpoint_value=args.checkpoint_value,
-            heuristics=heuristics,
-            shard=shard,
-            **preset_kwargs,
-        )
-    else:
-        scenarios = scenario_grid(
-            families,
-            sizes,
-            downtimes=downtimes if downtimes is not None else (0.0,),
-            processors=processors if processors is not None else (1,),
-            checkpoint_mode=args.checkpoint_mode,
-            checkpoint_factor=args.checkpoint_factor,
-            checkpoint_value=args.checkpoint_value,
-            heuristics=heuristics,
-            label="campaign",
-            shard=shard,
-        )
+    return journal_path
+
+
+def _finish_campaign(
+    args: argparse.Namespace,
+    result: CampaignResult,
+    *,
+    quarantined: str = "unit",
+    cache: ResultCache | None = None,
+    shard: tuple[int, int] | None = None,
+    canonical: bool = False,
+) -> int:
+    """Print the report, write ``-o`` / ``--report``, and return the exit code.
+
+    ``canonical`` writes the rows in ``row_identity`` order (merged
+    outputs); ``shard`` stamps a sharded run's CSV with its marker, so
+    ``repro campaign merge`` can check that a shard set is complete.  Any
+    quarantined work (``quarantined`` names its kind) is absent from the
+    table and listed on stderr, with exit code 3.
+    """
+    report = result.render()
+    print(report)
+    _print_cache_summary(cache)
+    if args.output:
+        rows = sorted(result.rows, key=row_identity) if canonical else list(result.rows)
+        path = save_rows_csv(rows, args.output, shard=shard)
+        print(f"wrote {path} ({len(rows)} rows)")
+    if args.report:
+        path = Path(args.report)
+        path.write_text(report + "\n")
+        print(f"wrote {path}")
+    if not result.failures:
+        return 0
+    print(
+        f"warning: {len(result.failures)} {quarantined}(s) quarantined after "
+        "repeated failures (their rows are absent above):",
+        file=sys.stderr,
+    )
+    for failure in result.failures:
+        print(f"  - {failure.describe()}", file=sys.stderr)
+    return 3
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    if getattr(args, "campaign_command", None) == "merge":
+        return _cmd_campaign_merge(args)
+    # Validate everything cheap *before* opening the cache, so a rejected
+    # invocation never leaves a stray cache file behind.
+    resolve_jobs(args.jobs)
+    shard = parse_shard(args.shard) if args.shard else None
+    index, n_shards = shard or (1, 1)
+    spec = _campaign_spec(args, n_shards)
+    _check_output_paths(args.output, args.report)
+    journal_path = _journal_path(args)
     journal = CampaignJournal(journal_path) if journal_path else None
     try:
         with _managed_cache(args) as cache:
             result = run_campaign(
-                scenarios,
-                seeds=seeds,
-                search_mode=args.search_mode,
-                max_candidates=args.max_candidates,
+                spec.shard(index),
+                seeds=spec.seeds,
+                search_mode=spec.search_mode,
+                max_candidates=spec.max_candidates,
                 jobs=args.jobs,
                 cache=cache,
                 progress=args.progress or None,
@@ -929,28 +944,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    print(result.render())
-    _print_cache_summary(cache)
-    if args.output:
-        # A sharded run stamps its output with the shard marker, so 'repro
-        # campaign merge' can check that the shard set it is given is
-        # complete; full-campaign outputs stay unmarked (bytes unchanged).
-        path = save_rows_csv(list(result.rows), args.output, shard=shard)
-        print(f"wrote {path} ({len(result.rows)} rows)")
-    if args.report:
-        path = Path(args.report)
-        path.write_text(result.render() + "\n")
-        print(f"wrote {path}")
-    if result.failures:
-        print(
-            f"warning: {len(result.failures)} unit(s) quarantined after repeated "
-            "failures (their rows are absent above):",
-            file=sys.stderr,
-        )
-        for failure in result.failures:
-            print(f"  - {failure.describe()}", file=sys.stderr)
-        return 3
-    return 0
+    return _finish_campaign(args, result, cache=cache, shard=shard)
 
 
 def _check_shard_completeness(markers: list[tuple[str, tuple[int, int] | None]]) -> None:
@@ -991,12 +985,7 @@ def _check_shard_completeness(markers: list[tuple[str, tuple[int, int] | None]])
 def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     # Same upfront guard as the sweep path: a rejected invocation must not
     # print a table or leave a partial output file behind.
-    for path_arg in (args.output, args.report):
-        if path_arg:
-            out_parent = Path(path_arg).parent
-            if not out_parent.exists():
-                raise ValueError(f"output directory {out_parent} does not exist")
-            _check_writable(out_parent)
+    _check_output_paths(args.output, args.report)
     rows = []
     markers: list[tuple[str, tuple[int, int] | None]] = []
     for csv_path in args.csvs:
@@ -1023,17 +1012,7 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     # heuristic) group lives entirely inside one shard (shards split whole
     # scenarios), so the group-internal member order — and therefore the
     # floating-point sums — match the unsharded run exactly.
-    result = CampaignResult.from_rows(rows)
-    print(result.render())
-    if args.output:
-        merged = sorted(result.rows, key=row_identity)
-        path = save_rows_csv(merged, args.output)
-        print(f"wrote {path} ({len(merged)} rows)")
-    if args.report:
-        path = Path(args.report)
-        path.write_text(result.render() + "\n")
-        print(f"wrote {path}")
-    return 0
+    return _finish_campaign(args, CampaignResult.from_rows(rows), canonical=True)
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
@@ -1045,60 +1024,15 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
 
 def _cmd_fabric_coordinate(args: argparse.Namespace) -> int:
+    # The same upfront validation as 'repro campaign': a rejected
+    # invocation must not bind a port or create a journal file.
+    spec = _campaign_spec(args, args.shards)
+    _check_output_paths(args.output, args.report, args.metrics_output)
+    journal_path = _journal_path(args)
     # Lazy import: the fabric layer pulls in the service metrics registry,
     # which no other sub-command needs.
-    from .experiments.fabric import FabricCoordinator, FabricSpec
+    from .experiments.fabric import FabricCoordinator
 
-    # The same cheap upfront validation as 'repro campaign': a rejected
-    # invocation must not bind a port or create a journal file.
-    heuristics = _split_csv(args.heuristics)
-    for heuristic in heuristics:
-        parse_heuristic_name(heuristic)
-    if args.search_mode == "geometric":
-        candidate_counts(3, mode="geometric", max_candidates=args.max_candidates)
-    families = _split_csv(args.families)
-    sizes = [int(s) for s in _split_csv(args.sizes)]
-    seeds = [int(s) for s in _split_csv(args.seeds)]
-    downtimes = (
-        tuple(float(d) for d in _split_csv(args.downtimes))
-        if args.downtimes is not None
-        else None
-    )
-    processors = (
-        tuple(int(p) for p in _split_csv(args.processors))
-        if args.processors is not None
-        else None
-    )
-    for path_arg in (args.output, args.report, args.metrics_output):
-        if path_arg:
-            out_parent = Path(path_arg).parent
-            if not out_parent.exists():
-                raise ValueError(f"output directory {out_parent} does not exist")
-            _check_writable(out_parent)
-    if args.journal and args.resume and args.journal != args.resume:
-        raise ValueError(
-            "--journal and --resume point at different files; give only one"
-        )
-    if args.resume and not Path(args.resume).exists():
-        raise ValueError(f"cannot resume: no journal at {args.resume}")
-    journal_path = args.resume or args.journal
-    if journal_path:
-        _check_writable(Path(journal_path).parent)
-    spec = FabricSpec(
-        families=tuple(families),
-        sizes=tuple(sizes),
-        downtimes=downtimes,
-        processors=processors,
-        preset=args.preset,
-        seeds=tuple(seeds),
-        heuristics=tuple(heuristics),
-        checkpoint_mode=args.checkpoint_mode,
-        checkpoint_factor=args.checkpoint_factor,
-        checkpoint_value=args.checkpoint_value,
-        search_mode=args.search_mode,
-        max_candidates=args.max_candidates,
-        n_shards=args.shards,
-    )
     coordinator = FabricCoordinator(
         spec,
         host=args.host,
@@ -1140,29 +1074,11 @@ def _cmd_fabric_coordinate(args: argparse.Namespace) -> int:
         if args.metrics_output:
             Path(args.metrics_output).write_text(coordinator.registry.render())
         coordinator.close()
-    result = coordinator.result()
-    print(result.render())
-    if args.output:
-        merged = sorted(result.rows, key=row_identity)
-        path = save_rows_csv(merged, args.output)
-        print(f"wrote {path} ({len(merged)} rows)")
-    if args.report:
-        path = Path(args.report)
-        path.write_text(result.render() + "\n")
-        print(f"wrote {path}")
-    failures = coordinator.failures
-    if failures:
-        # The same quarantine contract as 'repro campaign': exit 3 plus a
-        # structured stderr block naming what is absent from the table.
-        print(
-            f"warning: {len(failures)} shard(s) quarantined after repeated "
-            "failures (their rows are absent above):",
-            file=sys.stderr,
-        )
-        for lease in failures:
-            print(f"  - {lease.describe()}", file=sys.stderr)
-        return 3
-    return 0
+    # The same quarantine contract as 'repro campaign': exit 3 plus a
+    # structured stderr block naming what is absent from the table.
+    return _finish_campaign(
+        args, coordinator.result(), quarantined="shard", canonical=True
+    )
 
 
 def _cmd_fabric_work(args: argparse.Namespace) -> int:

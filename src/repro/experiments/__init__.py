@@ -1,6 +1,12 @@
 """Experiment harness reproducing the paper's Section 6 evaluation."""
 
-from .campaign import AggregatedResult, CampaignResult, aggregate_rows, run_campaign
+from .campaign import (
+    AggregatedResult,
+    CampaignResult,
+    CampaignSpec,
+    aggregate_rows,
+    run_campaign,
+)
 from .figures import (
     FigureResult,
     LINEARIZATION_FOCUS_HEURISTICS,
@@ -59,6 +65,7 @@ from .scenarios import (
 __all__ = [
     "AggregatedResult",
     "CampaignResult",
+    "CampaignSpec",
     "DEFAULT_FAILURE_RATES",
     "DEFAULT_LAWS",
     "FigureResult",
@@ -108,7 +115,6 @@ __all__ = [
     "ControlClient",
     "FabricCoordinator",
     "FabricError",
-    "FabricSpec",
     "FabricWorker",
 ]
 
@@ -119,7 +125,6 @@ _FABRIC_EXPORTS = {
     "ControlClient",
     "FabricCoordinator",
     "FabricError",
-    "FabricSpec",
     "FabricWorker",
 }
 

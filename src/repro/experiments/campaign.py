@@ -7,18 +7,33 @@ same scenario repeated over several seeds, with the `T / T_inf` ratios
 aggregated (mean, standard deviation, min, max) per heuristic.  Campaigns are
 what `EXPERIMENTS.md` calls "paper-scale sweeps with error bars" and what a
 downstream user should run before trusting a ranking on their own workloads.
+
+A :class:`CampaignSpec` is the one description of a campaign grid: ``repro
+campaign`` (whole or one ``--shard k/N``) and the distributed fabric build
+their scenarios from it, so every way of running a campaign enumerates the
+same scenarios in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
+from ..core.hashing import digest
+from ..heuristics.registry import HEURISTIC_NAMES, parse_heuristic_name
+from ..heuristics.search import candidate_counts
 from .harness import ResultRow
-from .scenarios import Scenario
+from .scenarios import Scenario, lambda_downtime_grid, scenario_grid, shard_scenarios
 
-__all__ = ["AggregatedResult", "CampaignResult", "run_campaign", "aggregate_rows"]
+__all__ = [
+    "AggregatedResult",
+    "CampaignResult",
+    "CampaignSpec",
+    "run_campaign",
+    "aggregate_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -61,9 +76,10 @@ def _rank_key(entry: AggregatedResult) -> tuple[float, str]:
 class CampaignResult:
     """All rows of a campaign plus their per-heuristic aggregation.
 
-    ``failures`` lists quarantined units (as
+    ``failures`` lists quarantined work — units (as
     :class:`~repro.runtime.runner.UnitFailure`) when the campaign ran with
-    quarantining enabled; it stays out of :meth:`render` so the report of a
+    quarantining enabled, shards (as :class:`~repro.runtime.leases.ShardLease`)
+    of a fabric run; it stays out of :meth:`render` so the report of a
     clean run — including a crash-then-resume run — is byte-identical
     regardless of supervision settings.
     """
@@ -73,7 +89,9 @@ class CampaignResult:
     failures: tuple[Any, ...] = ()
 
     @classmethod
-    def from_rows(cls, rows: Sequence[ResultRow]) -> "CampaignResult":
+    def from_rows(
+        cls, rows: Sequence[ResultRow], failures: Sequence[Any] = ()
+    ) -> "CampaignResult":
         """Re-aggregate loose rows (e.g. loaded from sharded CSV outputs).
 
         This is what ``repro campaign merge`` runs on the concatenated
@@ -83,7 +101,7 @@ class CampaignResult:
         floating-point sums — matches the unsharded run exactly.
         """
         rows = tuple(rows)
-        return cls(rows=rows, aggregated=aggregate_rows(rows))
+        return cls(rows=rows, aggregated=aggregate_rows(rows), failures=tuple(failures))
 
     def ranking(
         self,
@@ -212,6 +230,117 @@ def aggregate_rows(rows: Sequence[ResultRow]) -> tuple[AggregatedResult, ...]:
             )
         )
     return tuple(aggregated)
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """Content of one campaign: the grid, the seeds, the budget, the shards.
+
+    The constructor is the only validator of a campaign grid: it refuses an
+    unknown preset, family or heuristic, an empty axis, a geometric budget
+    below 2 and fewer than one shard, and builds the scenario grid once —
+    so a bad grid is refused before any cache file, journal or socket
+    exists.  :meth:`to_payload` is the wire form the fabric coordinator
+    ships to its workers, and :meth:`content_digest` enters every fabric
+    shard's journal key.
+
+    The evaluation backend stays *out* of the spec (and its digest) and
+    rides the runner or worker config instead.  Backends agree within 1e-9
+    relative, not bit for bit, so two runs of one spec render byte-identical
+    reports only when they resolve to the same backend.
+    """
+
+    families: tuple[str, ...] = ("montage",)
+    sizes: tuple[int, ...] = (30, 60)
+    #: ``None`` keeps the preset's own axis (``grid``: D = 0 and p = 1).
+    downtimes: tuple[float, ...] | None = None
+    processors: tuple[int, ...] | None = None
+    #: ``"grid"`` (families x sizes x downtimes x processors) or
+    #: ``"lambda-downtime"`` (the lambda x D sweep at the first size).
+    preset: str = "grid"
+    seeds: tuple[int, ...] = (0, 1, 2)
+    #: Empty means all 14 heuristics.
+    heuristics: tuple[str, ...] = ()
+    checkpoint_mode: str = "proportional"
+    checkpoint_factor: float = 0.1
+    checkpoint_value: float = 0.0
+    search_mode: str = "geometric"
+    max_candidates: int = 30
+    n_shards: int = 1
+
+    def __post_init__(self) -> None:
+        if self.preset not in ("grid", "lambda-downtime"):
+            raise ValueError(f"unknown preset {self.preset!r}")
+        if self.n_shards < 1:
+            raise ValueError(f"shard count must be >= 1, got {self.n_shards}")
+        if not self.heuristics:
+            object.__setattr__(self, "heuristics", HEURISTIC_NAMES)
+        for heuristic in self.heuristics:
+            parse_heuristic_name(heuristic)
+        if self.search_mode == "geometric":
+            # Probe call: raises the search's own error for a budget below 2.
+            candidate_counts(3, mode="geometric", max_candidates=self.max_candidates)
+        for axis, noun in (
+            (self.families, "family"),
+            (self.sizes, "size"),
+            (self.seeds, "seed"),
+            (self.downtimes, "downtime"),
+            (self.processors, "processor count"),
+        ):
+            if axis is not None and not axis:
+                raise ValueError(f"at least one {noun} is required")
+        self._grid  # built here, once: an unknown family fails the constructor
+
+    @cached_property
+    def _grid(self) -> tuple[Scenario, ...]:
+        axes = {"downtimes": self.downtimes, "processors": self.processors}
+        options: dict[str, Any] = {
+            "checkpoint_mode": self.checkpoint_mode,
+            "checkpoint_factor": self.checkpoint_factor,
+            "checkpoint_value": self.checkpoint_value,
+            "heuristics": self.heuristics,
+            **{name: axis for name, axis in axes.items() if axis is not None},
+        }
+        if self.preset == "lambda-downtime":
+            return tuple(lambda_downtime_grid(self.families, n_tasks=self.sizes[0], **options))
+        return tuple(scenario_grid(self.families, self.sizes, label="campaign", **options))
+
+    def scenarios(self) -> list[Scenario]:
+        """The full (unsharded) scenario list, in deterministic grid order."""
+        return list(self._grid)
+
+    def shard(self, k: int) -> list[Scenario]:
+        """Deterministic shard ``k`` (1-based) of :attr:`n_shards`."""
+        return shard_scenarios(self._grid, k, self.n_shards)
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-serializable wire form (lossless round-trip)."""
+        payload: dict[str, Any] = {}
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            payload[spec_field.name] = list(value) if isinstance(value, tuple) else value
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "CampaignSpec":
+        """Rebuild (and so re-validate) a spec from :meth:`to_payload` output."""
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(f"unknown campaign spec field(s) {unknown}")
+        kwargs = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in payload.items()
+        }
+        return cls(**kwargs)
+
+    def content_digest(self) -> str:
+        """Content digest of the spec (enters every fabric shard's journal key).
+
+        The ``fabric-spec`` tag keeps the digests — and so the journals —
+        written before the spec was shared with ``repro campaign``.
+        """
+        return digest({"fabric-spec": self.to_payload()})
 
 
 def run_campaign(

@@ -1,13 +1,14 @@
-"""Distributed campaign fabric: coordinator, workers, and the wire spec.
+"""Distributed campaign fabric: coordinator and workers.
 
 ``repro fabric`` runs one campaign across many worker processes (or hosts)
 with the robustness layer the single-process runtime cannot provide:
 
-* the **coordinator** (:class:`FabricCoordinator`) owns the campaign spec,
-  partitions it into its ``N`` deterministic shards, and hands them out as
-  TTL leases through :class:`~repro.runtime.leases.LeaseQueue` — dead or
-  stalled workers are detected by lease expiry and their shards reassigned,
-  with bounded-attempt poison-shard quarantine;
+* the **coordinator** (:class:`FabricCoordinator`) owns the campaign's
+  :class:`~repro.experiments.campaign.CampaignSpec`, ships its wire form
+  to workers, and hands its ``N`` deterministic shards out as TTL leases
+  through :class:`~repro.runtime.leases.LeaseQueue` — dead or stalled
+  workers are detected by lease expiry and their shards reassigned, with
+  bounded-attempt poison-shard quarantine;
 * **workers** (:class:`FabricWorker`) request leases over a JSON-lines TCP
   control plane, renew them from a heartbeat thread, run their shard through
   the ordinary :func:`~repro.experiments.campaign.run_campaign`, and ship
@@ -22,7 +23,8 @@ with the robustness layer the single-process runtime cannot provide:
 
 Determinism contract: shards split *whole* scenarios (every seed and
 heuristic of a grid point stays together), each shard's rows are computed by
-the same serial reference path as ``repro campaign --shard k/N``, and the
+the same serial reference path as ``repro campaign --shard k/N`` (both
+shard one :class:`~repro.experiments.campaign.CampaignSpec`), and the
 coordinator re-assembles them in shard order — the merged report is
 byte-identical to a serial unsharded run, whatever died along the way.
 """
@@ -35,11 +37,8 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
-from ..core.hashing import digest
-from ..heuristics.registry import HEURISTIC_NAMES
 from ..runtime.cache import ResultCache
 from ..runtime.cachenet import (
     CacheNetClient,
@@ -55,14 +54,12 @@ from ..runtime.keys import fabric_shard_key
 from ..runtime.leases import POISON, LeaseQueue, ShardLease
 from ..runtime.retry import RetryPolicy
 from ..service.metrics import MetricsRegistry, build_fabric_registry
-from .campaign import CampaignResult, run_campaign
+from .campaign import CampaignResult, CampaignSpec, run_campaign
 from .harness import ResultRow
 from .reporting import rows_from_csv, rows_to_csv
-from .scenarios import Scenario, lambda_downtime_grid, scenario_grid, shard_scenarios
 
 __all__ = [
     "FabricError",
-    "FabricSpec",
     "FabricCoordinator",
     "FabricWorker",
     "ControlClient",
@@ -75,115 +72,6 @@ FABRIC_PROTOCOL_VERSION = 1
 
 class FabricError(RuntimeError):
     """A fabric control-plane operation failed for good."""
-
-
-# ----------------------------------------------------------------------
-# The campaign spec, as the coordinator ships it to workers
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FabricSpec:
-    """Content of one fabric campaign: the grid, the seeds, the budget.
-
-    Mirrors the grid-building arguments of ``repro campaign`` exactly, so a
-    fabric run and a serial ``repro campaign`` over the same arguments
-    enumerate the same scenarios in the same deterministic order — the
-    foundation of the byte-identity contract.  The evaluation backend stays
-    *out* of the spec (and its digest) and rides the worker config instead.
-    Backends agree within 1e-9 relative, not bit for bit, so the merged
-    report is byte-identical to a serial run only when every worker
-    resolves to the same backend as that run.
-    """
-
-    families: tuple[str, ...] = ("montage",)
-    sizes: tuple[int, ...] = (30, 60)
-    downtimes: tuple[float, ...] | None = None
-    processors: tuple[int, ...] | None = None
-    preset: str = "grid"
-    seeds: tuple[int, ...] = (0, 1, 2)
-    heuristics: tuple[str, ...] = field(default_factory=tuple)
-    checkpoint_mode: str = "proportional"
-    checkpoint_factor: float = 0.1
-    checkpoint_value: float = 0.0
-    search_mode: str = "geometric"
-    max_candidates: int = 30
-    n_shards: int = 2
-
-    def __post_init__(self) -> None:
-        if self.preset not in ("grid", "lambda-downtime"):
-            raise ValueError(f"unknown preset {self.preset!r}")
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if not self.families:
-            raise ValueError("at least one family is required")
-        if not self.sizes:
-            raise ValueError("at least one size is required")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if not self.heuristics:
-            object.__setattr__(self, "heuristics", tuple(HEURISTIC_NAMES))
-
-    def scenarios(self) -> list[Scenario]:
-        """The full (unsharded) scenario list, in deterministic grid order."""
-        if self.preset == "lambda-downtime":
-            preset_kwargs: dict[str, Any] = {}
-            if self.downtimes is not None:
-                preset_kwargs["downtimes"] = self.downtimes
-            if self.processors is not None:
-                preset_kwargs["processors"] = self.processors
-            return lambda_downtime_grid(
-                self.families,
-                n_tasks=self.sizes[0],
-                checkpoint_mode=self.checkpoint_mode,
-                checkpoint_factor=self.checkpoint_factor,
-                checkpoint_value=self.checkpoint_value,
-                heuristics=self.heuristics,
-                **preset_kwargs,
-            )
-        return scenario_grid(
-            self.families,
-            self.sizes,
-            downtimes=self.downtimes if self.downtimes is not None else (0.0,),
-            processors=self.processors if self.processors is not None else (1,),
-            checkpoint_mode=self.checkpoint_mode,
-            checkpoint_factor=self.checkpoint_factor,
-            checkpoint_value=self.checkpoint_value,
-            heuristics=self.heuristics,
-            label="campaign",
-        )
-
-    def shard(self, k: int) -> list[Scenario]:
-        """Deterministic shard ``k`` (1-based) of :attr:`n_shards`."""
-        return shard_scenarios(self.scenarios(), k, self.n_shards)
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-serializable wire form (lossless round-trip)."""
-        payload: dict[str, Any] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            payload[spec_field.name] = list(value) if isinstance(value, tuple) else value
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FabricSpec":
-        """Rebuild a spec from :meth:`to_payload` output (strict)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown fabric spec field(s) {unknown}")
-        kwargs: dict[str, Any] = {}
-        for spec_field in fields(cls):
-            if spec_field.name not in payload:
-                continue
-            value = payload[spec_field.name]
-            kwargs[spec_field.name] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)
-
-    def content_digest(self) -> str:
-        """Content digest of the spec (enters every shard's journal key)."""
-        return digest({"fabric-spec": self.to_payload()})
-
-    def with_updates(self, **kwargs: Any) -> "FabricSpec":
-        return replace(self, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +212,10 @@ class FabricCoordinator:
         Optional ``host:port`` of a ``repro fabric cache-server``; forwarded
         to workers in the hello config.
     backend:
-        Optional evaluation backend name forwarded to workers (results are
-        backend-agnostic; this is a deployment knob, not campaign content).
+        Optional evaluation backend name forwarded to workers.  It stays
+        out of the spec and the journal keys, yet backends agree only
+        within 1e-9, not bit for bit: the merged report matches a serial
+        run byte for byte only when both resolve to the same backend.
     registry:
         Optional :class:`MetricsRegistry`; defaults to a fresh
         :func:`build_fabric_registry` wired to the lease queue.
@@ -333,7 +223,7 @@ class FabricCoordinator:
 
     def __init__(
         self,
-        spec: FabricSpec,
+        spec: CampaignSpec,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -561,19 +451,15 @@ class FabricCoordinator:
         Rows concatenate in shard order ``1..N``; every (grid point,
         heuristic, seed) group lives whole inside one shard, and
         aggregation sorts groups, so the rendered report equals the serial
-        unsharded run's byte for byte.
+        unsharded run's byte for byte.  The poisoned shards ride along as
+        :attr:`CampaignResult.failures`, even when no shard completed.
         """
         rows: list[ResultRow] = []
         with self._lock:
             collected = dict(self._rows_csv)
         for k in sorted(collected):
             rows.extend(rows_from_csv(collected[k]))
-        if not rows and self.failures:
-            raise FabricError(
-                "no shard completed: "
-                + "; ".join(lease.describe() for lease in self.failures)
-            )
-        return CampaignResult.from_rows(rows)
+        return CampaignResult.from_rows(rows, failures=self.failures)
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +530,7 @@ class FabricWorker:
         bounds the take (tests; drain-one-shard invocations).
         """
         hello = self.client.request({"op": "hello", "worker": self.name})
-        spec = FabricSpec.from_payload(dict(hello.get("spec") or {}))
+        spec = CampaignSpec.from_payload(dict(hello.get("spec") or {}))
         config = dict(hello.get("config") or {})
         ttl = float(config.get("ttl") or 15.0)
         cache_endpoint = config.get("cache")
@@ -721,7 +607,7 @@ class FabricWorker:
 
     def _run_shard(
         self,
-        spec: FabricSpec,
+        spec: CampaignSpec,
         shard: int,
         ttl: float,
         cache: ResultCache | FallbackResultCache,

@@ -194,15 +194,14 @@ def scenario_grid(
     heuristics: Sequence[str] = HEURISTIC_NAMES,
     seed: int = 0,
     label: str = "",
-    shard: tuple[int, int] | None = None,
 ) -> list[Scenario]:
     """Cartesian product of families, task counts and platform axes.
 
     The grid is ordered ``family -> n_tasks -> downtime -> processors`` and
     that order is deterministic: it is the contract that makes sharding
-    (``shard=(k, n)``, 1-based, see :func:`shard_scenarios`) reproducible
-    across machines — every shard of the same grid parameters partitions
-    the same list in the same order.
+    (see :func:`shard_scenarios`) reproducible across machines — every
+    shard of the same grid parameters partitions the same list in the same
+    order.
     """
     rates = dict(DEFAULT_FAILURE_RATES)
     if failure_rates:
@@ -224,7 +223,6 @@ def scenario_grid(
         heuristics=heuristics,
         seed=seed,
         label=label,
-        shard=shard,
     )
 
 
@@ -241,7 +239,6 @@ def lambda_downtime_grid(
     heuristics: Sequence[str] = HEURISTIC_NAMES,
     seed: int = 0,
     label: str = "lambda-x-downtime",
-    shard: tuple[int, int] | None = None,
 ) -> list[Scenario]:
     """The :math:`\\lambda \\times D` sweep preset at a fixed workflow size.
 
@@ -271,7 +268,6 @@ def lambda_downtime_grid(
         heuristics=heuristics,
         seed=seed,
         label=label,
-        shard=shard,
     )
 
 
@@ -286,14 +282,13 @@ def _expand_platform_axes(
     heuristics: Sequence[str],
     seed: int,
     label: str,
-    shard: tuple[int, int] | None,
 ) -> list[Scenario]:
     """Cross ``(family, n_tasks, rate)`` points with the platform axes.
 
     The single grid expansion behind :func:`scenario_grid` and
     :func:`lambda_downtime_grid`: one deterministic nesting order
-    (``point -> downtime -> processors``) and one shard tail, so the
-    sharding contract can never diverge between the two builders.
+    (``point -> downtime -> processors``), so the sharding contract can
+    never diverge between the two builders.
     """
     downtimes = tuple(float(d) for d in downtimes)
     processors = tuple(int(p) for p in processors)
@@ -301,7 +296,7 @@ def _expand_platform_axes(
         raise ValueError("at least one downtime is required")
     if not processors:
         raise ValueError("at least one processor count is required")
-    scenarios = [
+    return [
         Scenario(
             family=family,
             n_tasks=n_tasks,
@@ -319,9 +314,6 @@ def _expand_platform_axes(
         for downtime in downtimes
         for procs in processors
     ]
-    if shard is not None:
-        scenarios = shard_scenarios(scenarios, *shard)
-    return scenarios
 
 
 def parse_shard(text: str) -> tuple[int, int]:

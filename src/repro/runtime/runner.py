@@ -565,8 +565,10 @@ class CampaignRunner:
     search_mode, max_candidates:
         Checkpoint-count search configuration forwarded to every unit.
     backend:
-        Evaluation backend forwarded to every unit (``"auto"`` default);
-        results are backend-agnostic, so this never enters cache keys.
+        Evaluation backend forwarded to every unit (``"auto"`` default).
+        It never enters cache or journal keys, yet backends agree only
+        within 1e-9, not bit for bit: a cache warmed on one backend serves
+        its values to a run on another.
     progress:
         ``None`` (silent), ``True`` (console reporter) or any object with
         ``start/update/finish``.

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
-from repro.experiments import Scenario
+from repro.experiments import Scenario, lambda_downtime_grid
 from repro.experiments.campaign import (
     AggregatedResult,
     CampaignResult,
+    CampaignSpec,
     aggregate_rows,
     run_campaign,
 )
@@ -179,3 +181,37 @@ class TestReportOrder:
             "DF-CkptW",
             "BF-CkptW",
         ]
+
+
+class TestCampaignSpec:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"families": ("nonsense",)}, "no default failure rate known for family 'nonsense'"),
+            ({"preset": "lambda-downtime", "families": ("bogus",)},
+             "unknown workflow family 'bogus'"),
+            ({"heuristics": ("XX-CkptW",)}, "unknown linearization 'XX'"),
+            ({"families": ()}, "at least one family is required"),
+            ({"sizes": ()}, "at least one size is required"),
+            ({"seeds": ()}, "at least one seed is required"),
+            ({"downtimes": ()}, "at least one downtime is required"),
+            ({"processors": ()}, "at least one processor count is required"),
+            ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
+            ({"max_candidates": 1}, "max_candidates must be >= 2 for geometric mode"),
+            ({"n_shards": 0}, "shard count must be >= 1, got 0"),
+        ],
+    )
+    def test_constructor_refuses_a_bad_grid(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CampaignSpec(**kwargs)
+
+    def test_a_payload_is_revalidated(self):
+        payload = CampaignSpec().to_payload() | {"families": ["nonsense"]}
+        with pytest.raises(ValueError, match="no default failure rate"):
+            CampaignSpec.from_payload(payload)
+
+    def test_grid_follows_the_preset(self):
+        spec = CampaignSpec(preset="lambda-downtime", sizes=(20, 40), processors=(1, 2))
+        assert spec.scenarios() == lambda_downtime_grid(
+            ("montage",), n_tasks=20, processors=(1, 2)
+        )

@@ -8,6 +8,7 @@ import io
 import pytest
 
 from repro.experiments import (
+    CampaignSpec,
     DEFAULT_FAILURE_RATES,
     LAMBDA_DOWNTIME_DOWNTIMES,
     LAMBDA_DOWNTIME_RATES,
@@ -161,11 +162,13 @@ class TestSharding:
         assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
 
     def test_sharding_is_deterministic(self):
-        first = scenario_grid(("montage",), (30, 60), downtimes=(0.0, 30.0), shard=(1, 2))
-        again = scenario_grid(("montage",), (30, 60), downtimes=(0.0, 30.0), shard=(1, 2))
+        spec = CampaignSpec(sizes=(30, 60), downtimes=(0.0, 30.0), n_shards=2)
+        first = spec.shard(1)
+        again = CampaignSpec(sizes=(30, 60), downtimes=(0.0, 30.0), n_shards=2).shard(1)
         assert first == again
-        full = scenario_grid(("montage",), (30, 60), downtimes=(0.0, 30.0))
+        full = scenario_grid(("montage",), (30, 60), downtimes=(0.0, 30.0), label="campaign")
         assert first == full[0::2]
+        assert spec.scenarios() == full
 
     def test_single_shard_is_the_whole_grid(self):
         grid = self._grid()

@@ -16,6 +16,7 @@ Covers the full robustness stack the fabric adds:
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import subprocess
 import sys
@@ -26,12 +27,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments import run_campaign
+from repro.experiments import CampaignSpec, run_campaign
 from repro.experiments.fabric import (
     ControlClient,
     FabricCoordinator,
     FabricError,
-    FabricSpec,
     FabricWorker,
 )
 from repro.experiments.reporting import read_shard_marker, rows_from_csv, rows_to_csv
@@ -56,7 +56,7 @@ from repro.runtime.cachenet import (
     FallbackResultCache,
 )
 
-SPEC = FabricSpec(
+SPEC = CampaignSpec(
     families=("montage",),
     sizes=(10, 20),
     seeds=(0,),
@@ -364,26 +364,35 @@ class TestCacheNet:
 
 
 class TestFabricSpec:
+    """The campaign spec in the wire form the coordinator ships to workers."""
+
     def test_payload_roundtrip_is_lossless(self):
-        assert FabricSpec.from_payload(SPEC.to_payload()) == SPEC
+        assert CampaignSpec.from_payload(SPEC.to_payload()) == SPEC
 
     def test_unknown_payload_field_rejected(self):
         payload = SPEC.to_payload() | {"backend": "numpy"}
-        with pytest.raises(ValueError, match="unknown fabric spec field"):
-            FabricSpec.from_payload(payload)
+        with pytest.raises(ValueError, match="unknown campaign spec field"):
+            CampaignSpec.from_payload(payload)
 
     def test_digest_tracks_content_only(self):
-        assert SPEC.content_digest() == FabricSpec.from_payload(
+        assert SPEC.content_digest() == CampaignSpec.from_payload(
             SPEC.to_payload()
         ).content_digest()
-        assert SPEC.content_digest() != SPEC.with_updates(
-            seeds=(0, 1)
+        assert SPEC.content_digest() != dataclasses.replace(
+            SPEC, seeds=(0, 1)
         ).content_digest()
+
+    def test_digest_is_pinned(self):
+        # Fabric shard journal keys hash this digest: a change would orphan
+        # every journal written so far instead of resuming it.
+        assert SPEC.content_digest() == (
+            "2be67a7384d552e431a617a11ff152331ed75aa0fa8e1bdd26ac98f968b85f2a"
+        )
 
     def test_empty_heuristics_normalize_to_all(self):
         from repro.heuristics import HEURISTIC_NAMES
 
-        assert FabricSpec(heuristics=()).heuristics == tuple(HEURISTIC_NAMES)
+        assert CampaignSpec(heuristics=()).heuristics == tuple(HEURISTIC_NAMES)
 
     def test_shards_partition_the_grid(self):
         scenarios = SPEC.scenarios()
@@ -392,11 +401,11 @@ class TestFabricSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FabricSpec(n_shards=0)
+            CampaignSpec(n_shards=0)
         with pytest.raises(ValueError):
-            FabricSpec(preset="nonsense")
+            CampaignSpec(preset="nonsense")
         with pytest.raises(ValueError):
-            FabricSpec(seeds=())
+            CampaignSpec(seeds=())
 
 
 class TestFabricEndToEnd:
@@ -513,6 +522,36 @@ class TestFabricEndToEnd:
         _drive(coordinator, n_workers=1)
         assert coordinator.result().render() == _serial_result().render()
 
+    def test_lambda_downtime_platform_axes_match_repro_campaign(
+        self, tmp_path, capsys
+    ):
+        # The preset, both platform axes and a shard count that divides
+        # nothing evenly, against the serial CLI over the same arguments.
+        spec = CampaignSpec(
+            preset="lambda-downtime",
+            sizes=(10,),
+            downtimes=(0.0, 30.0),
+            processors=(1, 2),
+            seeds=(0,),
+            heuristics=("DF-CkptNvr", "DF-CkptW"),
+            max_candidates=5,
+            n_shards=3,
+        )
+        coordinator = FabricCoordinator(spec, ttl=10.0).start()
+        workers = _drive(coordinator, n_workers=2)
+        assert sum(w.shards_completed for w in workers) == 3
+        result = coordinator.result()
+        assert len(result.rows) == 24  # 3 rates x 2 downtimes x 2 p x 2 heuristics
+        serial_report = tmp_path / "serial.txt"
+        assert main([
+            "campaign", "--preset", "lambda-downtime", "--families", "montage",
+            "--sizes", "10", "--downtimes", "0,30", "--processors", "1,2",
+            "--seeds", "0", "--heuristics", "DF-CkptNvr,DF-CkptW",
+            "--max-candidates", "5", "--report", str(serial_report),
+        ]) == 0
+        capsys.readouterr()
+        assert (result.render() + "\n").encode() == serial_report.read_bytes()
+
     def test_unknown_op_and_bad_complete_are_rejected(self):
         coordinator = FabricCoordinator(SPEC, ttl=5.0).start()
         try:
@@ -606,6 +645,47 @@ class TestFabricCLI:
         err = capsys.readouterr().err
         assert "1 shard(s) quarantined after repeated failures" in err
         assert "shard 2/2 failed after 2 attempt(s): RuntimeError" in err
+
+    @pytest.mark.parametrize(
+        "bad_grid",
+        [["--families", "nonsense"], ["--downtimes", ""]],
+        ids=["unknown-family", "empty-downtimes"],
+    )
+    def test_coordinate_refuses_a_bad_grid_before_binding(self, bad_grid, capsys):
+        argv = [*self.CLI_ARGS, *bad_grid]
+        assert main(["campaign", *argv]) == 2
+        campaign_err = capsys.readouterr().err
+        code = main([
+            "fabric", "coordinate", *argv, "--port", str(_free_port()),
+            "--timeout", "5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == campaign_err
+        assert captured.err.startswith("error: ")
+        assert "listening" not in captured.out
+
+    def test_every_shard_poisoned_exits_3_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(FAULTS_ENV, "fabric_shard")
+        port = _free_port()
+        thread = self._work_in_thread(port)
+        report = tmp_path / "report.txt"
+        code = main([
+            "fabric", "coordinate", *self.CLI_ARGS,
+            "--shards", "2", "--port", str(port), "--ttl", "5",
+            "--max-attempts", "1", "--timeout", "120", "--report", str(report),
+        ])
+        thread.join(timeout=10)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "2 shard(s) quarantined after repeated failures" in err
+        assert "shard 1/2 failed after 1 attempt(s): RuntimeError" in err
+        assert "shard 2/2 failed after 1 attempt(s): RuntimeError" in err
+        # The header-only table, as 'repro campaign' writes with every
+        # unit quarantined.
+        assert len(report.read_text().splitlines()) == 1
 
     def test_work_rejects_a_dead_coordinator(self, capsys):
         code = main([

@@ -449,6 +449,40 @@ class TestCampaignCli:
         assert code == 0
         assert resumed_report.read_bytes() == reference_report.read_bytes()
 
+    def test_resume_over_a_grown_reordered_grid_replays_by_content(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.runtime import runner
+
+        base = ["campaign", "--seeds", "0", "--heuristics", ",".join(HEURISTICS)]
+        journal_path = tmp_path / "j.jsonl"
+        assert main(base + ["--families", "montage", "--sizes", "15",
+                            "--journal", str(journal_path)]) == 0
+        # More families and sizes, montage no longer first: the journal
+        # must match by unit content, not by position in the grid.
+        grown = base + ["--families", "cybershake,montage", "--sizes", "15,20"]
+        fresh_report = tmp_path / "fresh.txt"
+        assert main(grown + ["--report", str(fresh_report)]) == 0
+        capsys.readouterr()
+
+        solved: list[tuple[str, int]] = []
+        solve_group = runner.solve_group
+
+        def recording(plans):
+            solved.extend((p.unit.scenario.family, p.unit.scenario.n_tasks) for p in plans)
+            return solve_group(plans)
+
+        monkeypatch.setattr(runner, "solve_group", recording)
+        resumed_report = tmp_path / "resumed.txt"
+        assert main(grown + ["--resume", str(journal_path),
+                             "--report", str(resumed_report)]) == 0
+        assert ("montage", 15) not in solved
+        assert len(solved) == 6  # 8 units, the 2 journaled ones replayed
+        assert resumed_report.read_bytes() == fresh_report.read_bytes()
+        # One header line and one record per unit: nothing recorded twice.
+        assert len(journal_path.read_text().splitlines()) == 1 + 8
+
     def test_resume_requires_an_existing_journal(self, tmp_path, capsys):
         from repro.cli import main
 
