@@ -42,12 +42,14 @@ The single-platform commands (``solve`` / ``evaluate`` / ``analyse`` /
 evaluation and the equivalent campaign scenario price the same platform.
 
 The evaluation-heavy sub-commands accept ``--backend auto|python|numpy|native``
-to pick the Theorem-3 evaluation backend.  The default ``auto`` picks, per
-instance, the highest-priority available backend — the compiled ``native``
-kernel when a C compiler is present, else ``numpy`` — for instances of 32
-tasks or more, and the Python reference below that; the
-``REPRO_EVAL_BACKEND`` environment variable overrides the default.  Backends
-agree within 1e-9 relative, not bit for bit.
+to pick the Theorem-3 evaluation backend.  The default ``auto`` picks the
+highest-priority available backend — the compiled ``native`` kernel when a C
+compiler is present, else ``numpy`` — whatever the instance size; the Python
+reference runs only when named (it is faster only on tiny instances: native
+one-shots under about 10 tasks and, without a compiler, numpy under about
+20–30).  The ``REPRO_EVAL_BACKEND`` environment
+variable overrides the default.  Backends agree within 1e-9 relative, not
+bit for bit.
 
 ``figures`` and ``campaign`` accept ``--jobs N`` (worker processes) and
 ``--cache PATH`` (persistent result cache); both route through the campaign
@@ -385,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     backends = subparsers.add_parser(
         "backends",
         help="list evaluation backends, availability and auto resolution",
-    )
-    backends.add_argument(
-        "--tasks", type=int, default=None, metavar="N",
-        help="also report what 'auto' resolves to for an N-task instance",
     )
     backends.add_argument(
         "--json", action="store_true", dest="json_output",
@@ -1172,17 +1170,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_backends(args: argparse.Namespace) -> int:
     """List registered evaluation backends (the registry's describe rows)."""
-    rows = BACKEND_REGISTRY.describe(n_tasks=args.tasks)
+    rows = BACKEND_REGISTRY.describe()
     resolved: str | None = None
     resolve_error: str | None = None
     try:
-        resolved = BACKEND_REGISTRY.resolve("auto", n_tasks=args.tasks).name
+        resolved = BACKEND_REGISTRY.resolve("auto").name
     except ValueError as exc:  # no available backend at all
         resolve_error = str(exc)
     if args.json_output:
         payload: dict = {"backends": rows}
-        if args.tasks is not None:
-            payload["n_tasks"] = args.tasks
         if resolved is not None:
             payload["auto"] = resolved
         else:
@@ -1198,15 +1194,13 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         line = (
             f"{row['name']:<{name_width}}  {status:<11}  "
             f"priority={row['priority']:<3} "
-            f"min_auto_tasks={row['min_auto_tasks']:<3} "
             f"capabilities={','.join(row['capabilities'])}"
         )
         print(line)
         if not row["available"]:
             print(f"{'':<{name_width}}  reason: {row['unavailable_reason']}")
     if resolved is not None:
-        suffix = f" for n_tasks={args.tasks}" if args.tasks is not None else ""
-        print(f"auto resolves to: {resolved}{suffix}")
+        print(f"auto resolves to: {resolved}")
     else:
         print(f"auto resolves to: error ({resolve_error})")
     return 0

@@ -27,8 +27,6 @@ Backends are :class:`Backend` objects registered in a process-wide
   Monte-Carlo engine can never be handed the native kernel, which has no
   simulation path;
 * ``priority`` — the ``"auto"`` preference order (higher wins);
-* ``min_auto_tasks`` — the instance size below which ``"auto"`` skips it
-  (per-call setup would exceed what the fast path saves);
 * ``available()`` — a lazy, memoized probe (C toolchain present?).
 
 Selection rules, in decreasing precedence:
@@ -37,8 +35,15 @@ Selection rules, in decreasing precedence:
    (or a :class:`BackendSpec` carrying one);
 2. the ``REPRO_EVAL_BACKEND`` environment variable (consulted when the
    argument is omitted or ``"auto"``);
-3. ``"auto"`` — the highest-priority backend that is available, implements
-   the required capability, and considers the instance large enough.
+3. ``"auto"`` — the highest-priority backend that is available and
+   implements the required capability: ``native`` when its kernel builds,
+   else ``numpy``, for Theorem 3; ``numpy`` for Monte Carlo.  The instance
+   size plays no part, so ``auto`` resolves to one backend per process and
+   never picks the Python reference, which stays the oracle the tests
+   compare against and the explicit ``backend="python"`` choice.  The
+   reference is faster only in two corners no benchmark workload covers:
+   native one-shots below about 10 tasks, and, without a C compiler, numpy
+   below about 20 tasks per count search and 30 per one-shot.
 
 A named backend that exists but lacks the *required capability* falls back
 to the automatic choice among capable backends (so ``backend="native"``
@@ -57,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .evaluator_native import NativeKernels
 
 __all__ = [
-    "AUTO_NUMPY_MIN_TASKS",
     "BACKEND_ENV_VAR",
     "BACKEND_REGISTRY",
     "Backend",
@@ -70,13 +74,6 @@ __all__ = [
 #: makes it the one-line switch for whole campaigns — worker processes
 #: inherit it, so a parallel sweep follows it too.
 BACKEND_ENV_VAR = "REPRO_EVAL_BACKEND"
-
-#: Below this many scheduled tasks, ``"auto"`` keeps the Python reference:
-#: the per-call overhead of assembling NumPy arrays (or crossing the ctypes
-#: boundary) exceeds what vectorization saves on tiny instances.  Kept under
-#: its historical name as the default ``min_auto_tasks`` of the array-based
-#: backends.
-AUTO_NUMPY_MIN_TASKS = 32
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +91,6 @@ class Backend:
         ``"monte_carlo"`` (the fault-injection simulator).
     priority:
         ``"auto"`` preference (higher wins among available backends).
-    min_auto_tasks:
-        Instance size below which ``"auto"`` passes this backend over.
-        Explicit requests ignore it.
     available:
         Zero-argument availability probe (default: always available).  The
         registry calls it lazily — an expensive probe (e.g. the native
@@ -116,7 +110,6 @@ class Backend:
         *,
         capabilities: Iterable[str],
         priority: int = 0,
-        min_auto_tasks: int = 0,
         available: Callable[[], bool] | None = None,
         unavailable_reason: Callable[[], str | None] | None = None,
         sweep_kernels: Callable[[], Any] | None = None,
@@ -124,7 +117,6 @@ class Backend:
         self.name = str(name)
         self.capabilities = frozenset(capabilities)
         self.priority = int(priority)
-        self.min_auto_tasks = int(min_auto_tasks)
         self._available = available
         self._unavailable_reason = unavailable_reason
         self._sweep_kernels = sweep_kernels
@@ -245,12 +237,13 @@ class BackendRegistry:
         spec:
             A backend name, ``None``, or a :class:`BackendSpec`.  ``None``
             and ``"auto"`` defer to :data:`BACKEND_ENV_VAR`, then to the
-            automatic choice.
+            automatic choice, which never depends on the instance size and
+            never picks the Python reference (see the module docstring for
+            the two small-instance corners where the reference is faster).
         n_tasks:
-            Size of the instance about to be evaluated, if known; lets
-            ``"auto"`` keep tiny instances on low-overhead backends.
-            ``None`` means "assume large" (used when validating a backend
-            name before any instance exists).
+            Ignored: the choice does not depend on the instance size.  Kept
+            only because the benchmark harness under ``perfbench/`` still
+            passes it.
         require:
             Capability the caller is about to use.  A *named* backend
             lacking it falls back to the automatic choice among capable
@@ -274,41 +267,31 @@ class BackendRegistry:
                 # E.g. backend="native" on a Monte-Carlo call: the kernel
                 # has no simulation path, so the request degrades to the
                 # automatic choice instead of erroring out mid-campaign.
-                return self._auto(n_tasks, require)
+                return self._auto(require)
             if not backend.available():
                 raise ValueError(
                     f"the {name} evaluation backend was requested but is "
                     f"not available: {backend.unavailable_reason()}"
                 )
             return backend
-        return self._auto(n_tasks, require)
+        return self._auto(require)
 
-    def _auto(self, n_tasks: int | None, require: str) -> Backend:
-        fallback: Backend | None = None
+    def _auto(self, require: str) -> Backend:
         for backend in sorted(
             self._backends.values(),
             key=lambda b: (-b.priority, b.name),
         ):
-            if require not in backend.capabilities:
-                continue
-            if not backend.available():
-                continue
-            if fallback is None:
-                fallback = backend
-            if n_tasks is not None and n_tasks < backend.min_auto_tasks:
-                continue
-            return backend
-        if fallback is not None:
-            return fallback
+            if require in backend.capabilities and backend.available():
+                return backend
         raise ValueError(
             f"no available evaluation backend implements {require!r}"
         )
 
-    def describe(self, *, n_tasks: int | None = None) -> list[dict[str, Any]]:
+    def describe(self) -> list[dict[str, Any]]:
         """Machine-readable registry listing (the ``repro backends`` data).
 
-        One mapping per backend: name, priority, ``min_auto_tasks``, sorted
-        capabilities, availability and — when unavailable — the reason.
+        One mapping per backend: name, priority, sorted capabilities,
+        availability and — when unavailable — the reason.
         """
         rows: list[dict[str, Any]] = []
         for name in self.names():
@@ -317,7 +300,6 @@ class BackendRegistry:
             row: dict[str, Any] = {
                 "name": backend.name,
                 "priority": backend.priority,
-                "min_auto_tasks": backend.min_auto_tasks,
                 "capabilities": sorted(backend.capabilities),
                 "available": available,
             }
@@ -354,7 +336,6 @@ BACKEND_REGISTRY.register(
         "python",
         capabilities=("evaluate", "monte_carlo"),
         priority=0,
-        min_auto_tasks=0,
     )
 )
 BACKEND_REGISTRY.register(
@@ -362,7 +343,6 @@ BACKEND_REGISTRY.register(
         "numpy",
         capabilities=("evaluate", "monte_carlo"),
         priority=10,
-        min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
     )
 )
 BACKEND_REGISTRY.register(
@@ -370,7 +350,6 @@ BACKEND_REGISTRY.register(
         "native",
         capabilities=("evaluate",),
         priority=20,
-        min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
         available=_native_ok,
         unavailable_reason=_native_reason,
         sweep_kernels=_native_kernels,

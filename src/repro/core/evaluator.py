@@ -147,7 +147,7 @@ def evaluate_schedule(
     # Resolving first means an unknown or unavailable named backend raises
     # even on the diagnostic calls that run on the reference anyway.
     if n > 0 and lam != 0.0:
-        resolved = BACKEND_REGISTRY.resolve(backend, n_tasks=n)
+        resolved = BACKEND_REGISTRY.resolve(backend)
         if resolved.name != "python" and lost_work is None and not keep_probabilities:
             from .sweep import SweepState
 

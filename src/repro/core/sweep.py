@@ -486,7 +486,7 @@ class SweepState:
         n = len(self.order)
         self._n = n
         lam = platform.failure_rate
-        resolved = BACKEND_REGISTRY.resolve(backend, n_tasks=n)
+        resolved = BACKEND_REGISTRY.resolve(backend)
         self.backend = resolved.name
         self._eager = self.backend == "python" or n == 0 or lam == 0.0
         if self._eager:

@@ -24,6 +24,7 @@ from typing import Any, Iterable, Sequence
 from ..core.hashing import digest
 from ..heuristics.registry import HEURISTIC_NAMES, parse_heuristic_name
 from ..heuristics.search import candidate_counts
+from ..workflows.pegasus import check_task_count
 from .harness import ResultRow
 from .scenarios import Scenario, lambda_downtime_grid, scenario_grid, shard_scenarios
 
@@ -237,8 +238,9 @@ class CampaignSpec:
     """Content of one campaign: the grid, the seeds, the budget, the shards.
 
     The constructor is the only validator of a campaign grid: it refuses an
-    unknown preset, family or heuristic, an empty axis, a geometric budget
-    below 2 and fewer than one shard, and builds the scenario grid once —
+    unknown preset, family or heuristic, an empty axis, a size below the
+    family's minimum, a geometric budget below 2 and fewer than one shard,
+    and builds the scenario grid once —
     so a bad grid is refused before any cache file, journal or socket
     exists.  :meth:`to_payload` is the wire form the fabric coordinator
     ships to its workers, and :meth:`content_digest` enters every fabric
@@ -289,7 +291,10 @@ class CampaignSpec:
         ):
             if axis is not None and not axis:
                 raise ValueError(f"at least one {noun} is required")
-        self._grid  # built here, once: an unknown family fails the constructor
+        # The grid is built here, once: an unknown family fails its builder,
+        # and a size its generator would refuse fails before any unit runs.
+        for scenario in self._grid:
+            check_task_count(scenario.family, scenario.n_tasks)
 
     @cached_property
     def _grid(self) -> tuple[Scenario, ...]:

@@ -64,7 +64,10 @@ KEY_VERSION = 2
 #: v2 -> v3: Schedule's failure-free aggregates now sum checkpoint costs in
 #: ascending task index instead of frozenset iteration order (reprolint
 #: RL004 fix; float-noise level changes).
-ALGO_VERSION = 3
+#: v3 -> v4: ``auto`` no longer sends instances under 32 tasks to the Python
+#: reference, so their values now come from the array backends (last-ulp
+#: changes).
+ALGO_VERSION = 4
 
 
 # ----------------------------------------------------------------------

@@ -528,8 +528,9 @@ def expand_work_units(
     """
     # Validate the backend name here, so that a typo fails before any
     # cache lookup and does not vary with cache warmth.  The resolved value
-    # is discarded — "auto" stays "auto" so each instance picks its own
-    # fast path.
+    # is discarded — "auto" stays "auto" so each worker process (a fabric
+    # worker may run on another host) resolves it against its own
+    # toolchain.
     BACKEND_REGISTRY.resolve(backend)
     units: list[WorkUnit] = []
     for scenario in scenarios:

@@ -330,8 +330,8 @@ def run_monte_carlo(
         ``"python"`` replays the replicas one by one through
         :func:`simulate_schedule`; ``"numpy"`` simulates all replicas at
         once (:mod:`repro.simulation.engine_np`); ``"auto"``/``None`` picks
-        NumPy for batches large enough to amortize the attempt-matrix
-        precomputation.  Resolution requires the ``monte_carlo``
+        NumPy at every replica count (it overtakes the replica loop from
+        about 16 replicas).  Resolution requires the ``monte_carlo``
         capability, so backends without a simulator (e.g. ``native``)
         fall back to the best capable one instead of erroring.  Both
         engines produce bit-for-bit identical samples for the same
@@ -343,11 +343,7 @@ def run_monte_carlo(
     """
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
-    # The "instance size" that decides whether vectorization pays off is the
-    # replica count, so it (not the task count) feeds the auto rule.
-    resolved = BACKEND_REGISTRY.resolve(
-        backend, n_tasks=n_runs, require="monte_carlo"
-    ).name
+    resolved = BACKEND_REGISTRY.resolve(backend, require="monte_carlo").name
     generators = replica_generators(rng, n_runs)
 
     if resolved == "numpy":

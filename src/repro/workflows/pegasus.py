@@ -38,6 +38,8 @@ from ..core.task import Task
 __all__ = [
     "WORKFLOW_FAMILIES",
     "AVERAGE_TASK_WEIGHTS",
+    "MIN_TASKS",
+    "check_task_count",
     "montage",
     "cybershake",
     "ligo",
@@ -55,6 +57,14 @@ AVERAGE_TASK_WEIGHTS: dict[str, float] = {
     "cybershake": 25.0,
     "ligo": 220.0,
     "genome": 1200.0,
+}
+
+#: Smallest task count each family's generator accepts.
+MIN_TASKS: dict[str, int] = {
+    "montage": 10,
+    "cybershake": 8,
+    "ligo": 9,
+    "genome": 10,
 }
 
 
@@ -100,9 +110,11 @@ class _Builder:
         return Workflow(tasks, self.edges, name=name)
 
 
-def _check_n(n_tasks: int, minimum: int) -> int:
+def check_task_count(family: str, n_tasks: int) -> int:
+    """Return ``n_tasks`` if ``family``'s generator accepts it (:data:`MIN_TASKS`)."""
     if not isinstance(n_tasks, int) or isinstance(n_tasks, bool):
         raise TypeError("n_tasks must be an int")
+    minimum = MIN_TASKS[family]
     if n_tasks < minimum:
         raise ValueError(f"this family needs at least {minimum} tasks, got {n_tasks}")
     return n_tasks
@@ -121,7 +133,7 @@ def montage(n_tasks: int, *, seed: int | None = None) -> Workflow:
     sequential tail ``mImgtbl`` → ``mAdd`` → ``mShrink`` → ``mJPEG``.
     Average task weight ≈ 10 s.
     """
-    n_tasks = _check_n(n_tasks, 10)
+    n_tasks = check_task_count("montage", n_tasks)
     rng = np.random.default_rng(seed)
     b = _Builder(rng)
 
@@ -169,7 +181,7 @@ def cybershake(n_tasks: int, *, seed: int | None = None) -> Workflow:
     ``ZipSeismograms`` collector, a ``PeakValCalcOkaya`` task per seismogram and
     a final ``ZipPSA`` collector.  Average task weight ≈ 25 s.
     """
-    n_tasks = _check_n(n_tasks, 8)
+    n_tasks = check_task_count("cybershake", n_tasks)
     rng = np.random.default_rng(seed)
     b = _Builder(rng)
 
@@ -205,7 +217,7 @@ def ligo(n_tasks: int, *, seed: int | None = None) -> Workflow:
     a ``TrigBank`` level feeds a second ``Inspiral`` level coalesced by a final
     ``Thinca``.  Average task weight ≈ 220 s.
     """
-    n_tasks = _check_n(n_tasks, 9)
+    n_tasks = check_task_count("ligo", n_tasks)
     rng = np.random.default_rng(seed)
     b = _Builder(rng)
 
@@ -250,7 +262,7 @@ def epigenomics(n_tasks: int, *, seed: int | None = None) -> Workflow:
     feed a global ``mapMerge`` → ``maqIndex`` → ``pileup`` tail.  Average task
     weight > 1000 s (the heaviest family in the paper).
     """
-    n_tasks = _check_n(n_tasks, 10)
+    n_tasks = check_task_count("genome", n_tasks)
     rng = np.random.default_rng(seed)
     b = _Builder(rng)
 

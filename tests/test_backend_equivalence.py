@@ -10,6 +10,7 @@ not depend on the backend so that a warm cache serves both.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -28,12 +29,13 @@ from repro import (
     compute_lost_work,
     evaluate_schedule,
 )
-from repro.core.backend import AUTO_NUMPY_MIN_TASKS, BACKEND_ENV_VAR
+from repro.core.backend import BACKEND_ENV_VAR
 from repro.core.evaluator_native import native_available
 from repro.runtime import ResultCache
 from repro.runtime.keys import evaluation_key
 from repro.runtime.runner import WorkUnit, evaluate_schedule_cached, plan_unit
-from repro.experiments.scenarios import Scenario
+from repro.experiments.campaign import run_campaign
+from repro.experiments.scenarios import Scenario, scenario_grid
 from repro.workflows import generators
 
 
@@ -416,7 +418,7 @@ class TestCacheKeyEquivalence:
 class TestBackendResolution:
     @staticmethod
     def _auto_array_backend() -> str:
-        """What ``auto`` resolves to for large instances on this machine.
+        """What ``auto`` resolves to on this machine.
 
         The compiled backend outranks numpy when a C toolchain is present;
         without one, ``auto`` silently keeps numpy (the explicit assertion
@@ -438,12 +440,15 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown evaluation backend"):
             self._resolve("fortran")
 
-    def test_auto_prefers_python_for_tiny_instances(self, monkeypatch):
+    def test_auto_ignores_instance_size(self, monkeypatch):
+        # ``n_tasks=`` is a no-op kept for old callers: ``auto`` is one
+        # array backend at every size, and never the Python reference.
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         array_backend = self._auto_array_backend()
-        assert self._resolve("auto", n_tasks=AUTO_NUMPY_MIN_TASKS - 1) == "python"
-        assert self._resolve("auto", n_tasks=AUTO_NUMPY_MIN_TASKS) == array_backend
+        for n_tasks in (1, 10, 31, 32, 10_000):
+            assert self._resolve("auto", n_tasks=n_tasks) == array_backend
         assert self._resolve(None) == array_backend
+        assert self._resolve(None, require="monte_carlo", n_tasks=1) == "numpy"
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -457,7 +462,6 @@ class TestBackendResolution:
 
     def test_environment_auto_is_auto(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert self._resolve(None, n_tasks=4) == "python"
         assert self._resolve(None, n_tasks=10_000) == self._auto_array_backend()
 
     def test_diagnostic_options_still_validate_the_backend(self):
@@ -468,6 +472,22 @@ class TestBackendResolution:
             evaluate_schedule(
                 schedule, platform, backend="fortran", keep_probabilities=True
             )
+
+    def test_default_campaign_rows_are_the_array_backends(self, monkeypatch):
+        # Sizes 10-30, where the reference and the array backends differ in
+        # the last ulp on most rows: the default must not route by size.
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        scenarios = scenario_grid(
+            ("montage", "cybershake", "ligo", "genome"),
+            (10, 20, 30),
+            heuristics=("DF-CkptW", "BF-CkptC", "RF-CkptD", "DF-CkptPer"),
+        )
+
+        def rows(backend):
+            result = run_campaign(scenarios, seeds=(0,), max_candidates=6, backend=backend)
+            return [dataclasses.replace(row, solve_seconds=0.0) for row in result.rows]
+
+        assert rows(None) == rows(self._auto_array_backend())
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.backend import (
-    AUTO_NUMPY_MIN_TASKS,
     BACKEND_ENV_VAR,
     BACKEND_REGISTRY,
     Backend,
@@ -45,7 +44,6 @@ def _backend(
     name: str,
     *,
     priority: int = 0,
-    min_auto_tasks: int = 0,
     capabilities=("evaluate",),
     available=None,
     unavailable_reason=None,
@@ -54,7 +52,6 @@ def _backend(
         name,
         capabilities=capabilities,
         priority=priority,
-        min_auto_tasks=min_auto_tasks,
         available=available,
         unavailable_reason=unavailable_reason,
     )
@@ -118,24 +115,6 @@ class TestResolution:
         )
         assert registry.resolve(None).name == "slow"
 
-    def test_auto_honours_min_auto_tasks(self):
-        registry = _registry_with(
-            _backend("slow", priority=0),
-            _backend("fast", priority=20, min_auto_tasks=32),
-        )
-        assert registry.resolve(None, n_tasks=8).name == "slow"
-        assert registry.resolve(None, n_tasks=32).name == "fast"
-        # Unknown size means "assume large": validation before any
-        # instance exists should accept the fast path.
-        assert registry.resolve(None, n_tasks=None).name == "fast"
-
-    def test_named_backend_ignores_min_auto_tasks(self):
-        registry = _registry_with(
-            _backend("slow", priority=0),
-            _backend("fast", priority=20, min_auto_tasks=32),
-        )
-        assert registry.resolve("fast", n_tasks=2).name == "fast"
-
     def test_named_without_capability_falls_back_to_capable(self):
         registry = _registry_with(
             _backend("sim", priority=0, capabilities=("evaluate", "monte_carlo")),
@@ -177,7 +156,7 @@ class TestResolution:
 
     def test_describe_rows(self):
         registry = _registry_with(
-            _backend("ok", priority=5, min_auto_tasks=4),
+            _backend("ok", priority=5),
             _backend(
                 "broken",
                 available=lambda: False,
@@ -187,7 +166,6 @@ class TestResolution:
         rows = {row["name"]: row for row in registry.describe()}
         assert rows["ok"]["available"] is True
         assert rows["ok"]["priority"] == 5
-        assert rows["ok"]["min_auto_tasks"] == 4
         assert rows["ok"]["capabilities"] == ["evaluate"]
         assert "unavailable_reason" not in rows["ok"]
         assert rows["broken"]["available"] is False
@@ -228,9 +206,6 @@ class TestGlobalRegistry:
         numpy_ = BACKEND_REGISTRY.get("numpy")
         native = BACKEND_REGISTRY.get("native")
         assert python.priority < numpy_.priority < native.priority
-        assert python.min_auto_tasks == 0
-        assert numpy_.min_auto_tasks == AUTO_NUMPY_MIN_TASKS
-        assert native.min_auto_tasks == AUTO_NUMPY_MIN_TASKS
 
     def test_native_lacks_monte_carlo(self):
         native = BACKEND_REGISTRY.get("native")
@@ -239,8 +214,9 @@ class TestGlobalRegistry:
 
 
 class TestNativeFallbackWithoutToolchain:
-    """With the native build disabled, ``auto`` must degrade silently while
-    an explicit ``backend="native"`` must raise a clear error.
+    """With the native build disabled, ``auto`` must degrade silently to
+    numpy at every instance size while an explicit ``backend="native"`` must
+    raise a clear error.
 
     Run in a subprocess so the parent's memoized probe (and any compiled
     kernels) are untouched.
@@ -262,6 +238,7 @@ out = {
     "available": native_available(),
     "reason": native_unavailable_reason(),
     "auto": BACKEND_REGISTRY.resolve(None, n_tasks=40).name,
+    "auto_4_tasks": BACKEND_REGISTRY.resolve(None, n_tasks=4).name,
     "auto_value": evaluate_schedule(sched, plat, backend="auto").expected_makespan,
 }
 try:
@@ -293,7 +270,8 @@ print(json.dumps(out))
         out = self._run_disabled()
         assert out["available"] is False
         assert "REPRO_NATIVE_DISABLE" in out["reason"]
-        assert out["auto"] in ("numpy", "python")  # silently degraded
+        assert out["auto"] == "numpy"  # silently degraded
+        assert out["auto_4_tasks"] == "numpy"
         assert out["auto_value"] > 0.0
         assert out["explicit_error"] is not None
         assert "native" in out["explicit_error"]

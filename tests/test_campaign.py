@@ -199,6 +199,11 @@ class TestCampaignSpec:
             ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
             ({"max_candidates": 1}, "max_candidates must be >= 2 for geometric mode"),
             ({"n_shards": 0}, "shard count must be >= 1, got 0"),
+            ({"sizes": (30, -5)}, "this family needs at least 10 tasks, got -5"),
+            ({"families": ("montage", "cybershake"), "sizes": (9, 10)},
+             "this family needs at least 10 tasks, got 9"),
+            ({"preset": "lambda-downtime", "families": ("ligo",), "sizes": (8,)},
+             "this family needs at least 9 tasks, got 8"),
         ],
     )
     def test_constructor_refuses_a_bad_grid(self, kwargs, message):

@@ -497,7 +497,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
-    def test_rejected_invocation_creates_no_cache_file(self, tmp_path, capsys):
+    def test_rejected_invocation_creates_no_cache_file(self, tmp_path, capsys, monkeypatch):
         cache_path = tmp_path / "new" / "cache.sqlite"
         assert main(["campaign", "--families", "montage", "--sizes", "10",
                      "--seeds", "", "--cache", str(cache_path)]) == 2
@@ -511,9 +511,16 @@ class TestErrorHandling:
                      "--seeds", "0", "--heuristics", "DF-CkptWrong",
                      "--cache", str(cache_path)]) == 2
         assert not cache_path.exists()
-        # Failure past the cheap checks (generator rejects the size) is also
-        # cleaned up, including the parent directory the cache created.
-        assert main(["campaign", "--families", "montage", "--sizes", "-5",
+        # Failure past the cheap checks (a unit cannot be planned, once the
+        # cache is open) is also cleaned up, including the parent directory
+        # the cache created.
+        import repro.runtime.runner as runner
+
+        def fail(unit):
+            raise ValueError("unit cannot be planned")
+
+        monkeypatch.setattr(runner, "plan_unit", fail)
+        assert main(["campaign", "--families", "montage", "--sizes", "10",
                      "--seeds", "0", "--heuristics", "DF-CkptNvr",
                      "--cache", str(cache_path)]) == 2
         assert not cache_path.exists()

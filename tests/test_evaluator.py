@@ -25,6 +25,20 @@ from repro.theory import chain_expected_makespan, fork_expected_makespan, join_e
 from repro.theory.join import join_schedule
 from repro.workflows import generators, pegasus
 
+_NATIVE_MARK = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain: native backend unavailable"
+)
+
+#: The backends the oracles below run on besides the Python reference.
+_ARRAY_BACKENDS = ["numpy", pytest.param("native", marks=_NATIVE_MARK)]
+
+
+@pytest.fixture
+def backend():
+    """The backend an oracle checks: the Python reference, unless its class
+    is parametrized over :data:`_ARRAY_BACKENDS`."""
+    return "python"
+
 
 class TestDegenerateCases:
     def test_empty_workflow(self):
@@ -60,18 +74,24 @@ class TestGeneralProperties:
         evaluation = evaluate_schedule(schedule, platform)
         assert evaluation.expected_makespan >= schedule.failure_free_makespan
 
-    def test_monotonic_in_failure_rate(self, schedule):
+    def test_monotonic_in_failure_rate(self, schedule, backend):
         rates = [0.0, 1e-4, 1e-3, 1e-2, 1e-1]
         values = [
-            evaluate_schedule(schedule, Platform.from_platform_rate(r)).expected_makespan
+            evaluate_schedule(
+                schedule, Platform.from_platform_rate(r), backend=backend
+            ).expected_makespan
             for r in rates
         ]
         assert values == sorted(values)
         assert values[-1] > values[0]
 
-    def test_monotonic_in_downtime(self, schedule):
-        low = evaluate_schedule(schedule, Platform.from_platform_rate(1e-2, downtime=0.0))
-        high = evaluate_schedule(schedule, Platform.from_platform_rate(1e-2, downtime=10.0))
+    def test_monotonic_in_downtime(self, schedule, backend):
+        low = evaluate_schedule(
+            schedule, Platform.from_platform_rate(1e-2, downtime=0.0), backend=backend
+        )
+        high = evaluate_schedule(
+            schedule, Platform.from_platform_rate(1e-2, downtime=10.0), backend=backend
+        )
         assert high.expected_makespan > low.expected_makespan
 
     def test_task_times_sum_to_makespan(self, schedule, platform):
@@ -86,8 +106,9 @@ class TestGeneralProperties:
             assert all(p >= 0.0 for p in row)
 
     def test_precomputed_lost_work_gives_same_result(self, schedule, platform):
+        # ``lost_work=`` always runs on the reference: compare like with like.
         lw = compute_lost_work(schedule)
-        direct = evaluate_schedule(schedule, platform).expected_makespan
+        direct = evaluate_schedule(schedule, platform, backend="python").expected_makespan
         reused = evaluate_schedule(schedule, platform, lost_work=lw).expected_makespan
         assert direct == pytest.approx(reused)
 
@@ -106,22 +127,33 @@ class TestGeneralProperties:
         )
 
 
+@pytest.mark.parametrize("backend", _ARRAY_BACKENDS)
+class TestMonotonicityOnArrayBackends:
+    """The monotonicity oracles of :class:`TestGeneralProperties`, which runs
+    them on the Python reference, on the array backends."""
+
+    schedule = TestGeneralProperties.schedule
+    test_monotonic_in_failure_rate = TestGeneralProperties.test_monotonic_in_failure_rate
+    test_monotonic_in_downtime = TestGeneralProperties.test_monotonic_in_downtime
+
+
 class TestAgainstClosedForms:
     """The evaluator must agree with every closed form derived in the paper."""
 
     @pytest.mark.parametrize("checkpoints", [(), (1,), (2,), (1, 3), (0, 1, 2, 3, 4)])
-    def test_chain_segment_decomposition(self, checkpoints):
+    def test_chain_segment_decomposition(self, checkpoints, backend):
         wf = generators.chain_workflow(5, weights=[4, 12, 7, 3, 9]).with_checkpoint_costs(
             mode="proportional", factor=0.15
         )
         platform = Platform.from_platform_rate(2e-2, downtime=1.0)
         schedule = Schedule(wf, range(5), checkpoints)
-        assert evaluate_schedule(schedule, platform).expected_makespan == pytest.approx(
+        value = evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+        assert value == pytest.approx(
             chain_expected_makespan(wf, platform, checkpoints)
         )
 
     @pytest.mark.parametrize("checkpoint_source", [True, False])
-    def test_fork_formula(self, checkpoint_source):
+    def test_fork_formula(self, checkpoint_source, backend):
         wf = generators.fork_workflow(
             4, source_weight=20.0, sink_weights=[5, 10, 15, 20]
         ).with_checkpoint_costs(mode="proportional", factor=0.1)
@@ -129,11 +161,12 @@ class TestAgainstClosedForms:
         src = wf.sources[0]
         order = [src] + [i for i in range(wf.n_tasks) if i != src]
         schedule = Schedule(wf, order, {src} if checkpoint_source else ())
-        assert evaluate_schedule(schedule, platform).expected_makespan == pytest.approx(
+        value = evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+        assert value == pytest.approx(
             fork_expected_makespan(wf, platform, checkpoint_source=checkpoint_source)
         )
 
-    def test_fork_sink_order_is_irrelevant(self):
+    def test_fork_sink_order_is_irrelevant(self, backend):
         """Theorem 1: any ordering of the sinks has the same expected makespan."""
         wf = generators.fork_workflow(4, source_weight=8.0, sink_weights=[3, 6, 9, 12]).with_checkpoint_costs(
             mode="proportional", factor=0.1
@@ -142,21 +175,24 @@ class TestAgainstClosedForms:
         values = []
         for perm in itertools.permutations(range(1, 5)):
             schedule = Schedule(wf, (0,) + perm, {0})
-            values.append(evaluate_schedule(schedule, platform).expected_makespan)
+            values.append(
+                evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+            )
         assert max(values) - min(values) < 1e-8 * max(values)
 
     @pytest.mark.parametrize("checkpoints", [(), (0,), (0, 2), (0, 1, 2, 3)])
-    def test_join_equation_two(self, checkpoints):
+    def test_join_equation_two(self, checkpoints, backend):
         wf = generators.join_workflow(
             4, sink_weight=6.0, source_weights=[10, 20, 5, 8]
         ).with_checkpoint_costs(mode="proportional", factor=0.2)
         platform = Platform.from_platform_rate(1.5e-2, downtime=2.0)
         schedule = join_schedule(wf, platform, checkpoints)
-        assert evaluate_schedule(schedule, platform).expected_makespan == pytest.approx(
+        value = evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+        assert value == pytest.approx(
             join_expected_makespan(wf, platform, checkpoints), rel=1e-9
         )
 
-    def test_join_non_checkpointed_order_is_irrelevant(self):
+    def test_join_non_checkpointed_order_is_irrelevant(self, backend):
         """Lemma 2 proof: ordering of the non-checkpointed sources does not matter."""
         wf = generators.join_workflow(3, sink_weight=4.0, source_weights=[7, 11, 3]).with_checkpoint_costs(
             mode="proportional", factor=0.1
@@ -165,8 +201,16 @@ class TestAgainstClosedForms:
         values = []
         for perm in itertools.permutations(range(3)):
             schedule = Schedule(wf, tuple(perm) + (3,), ())
-            values.append(evaluate_schedule(schedule, platform).expected_makespan)
+            values.append(
+                evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+            )
         assert max(values) - min(values) < 1e-9 * max(values)
+
+
+@pytest.mark.parametrize("backend", _ARRAY_BACKENDS)
+class TestAgainstClosedFormsOnArrayBackends(TestAgainstClosedForms):
+    """The closed forms of :class:`TestAgainstClosedForms`, which checks the
+    Python reference, on the array backends."""
 
 
 class TestCheckpointTradeoff:
@@ -198,10 +242,6 @@ class TestCheckpointTradeoff:
         value = evaluate_schedule(Schedule(wf, range(3), ()), platform).expected_makespan
         assert math.isinf(value)
 
-
-_NATIVE_MARK = pytest.mark.skipif(
-    not native_available(), reason="no C toolchain: native backend unavailable"
-)
 
 #: (family, size, backend): the four Pegasus families at paper sizes; the
 #: pure-Python reference stops at n = 100 to keep the suite fast.

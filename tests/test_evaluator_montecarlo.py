@@ -11,20 +11,26 @@ from __future__ import annotations
 import pytest
 
 from repro import Platform, Schedule, evaluate_schedule, run_monte_carlo
+from repro.core.evaluator_native import native_available
 from repro.heuristics import linearize
 from repro.workflows import generators, pegasus
 
+#: Every Theorem-3 backend this machine can run (native needs a C toolchain).
+BACKENDS = ("python", "numpy") + (("native",) if native_available() else ())
+
 
 def assert_analytical_in_ci(schedule, platform, *, n_runs=3000, seed=0, widen=1.6):
-    """The analytical value must fall inside a (slightly widened) 95% CI."""
+    """Each backend's analytical value must fall inside a (slightly widened)
+    95% CI of one Monte-Carlo run."""
     summary = run_monte_carlo(schedule, platform, n_runs=n_runs, rng=seed)
-    analytical = evaluate_schedule(schedule, platform).expected_makespan
     low, high = summary.ci95
     margin = (high - low) / 2.0 * widen + 1e-9
-    assert abs(summary.mean_makespan - analytical) <= margin, (
-        f"analytical {analytical:.4f} outside MC interval "
-        f"[{low:.4f}, {high:.4f}] (mean {summary.mean_makespan:.4f})"
-    )
+    for backend in BACKENDS:
+        analytical = evaluate_schedule(schedule, platform, backend=backend).expected_makespan
+        assert abs(summary.mean_makespan - analytical) <= margin, (
+            f"{backend}: analytical {analytical:.4f} outside MC interval "
+            f"[{low:.4f}, {high:.4f}] (mean {summary.mean_makespan:.4f})"
+        )
 
 
 class TestAgreementOnStructuredDags:

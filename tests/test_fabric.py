@@ -648,8 +648,8 @@ class TestFabricCLI:
 
     @pytest.mark.parametrize(
         "bad_grid",
-        [["--families", "nonsense"], ["--downtimes", ""]],
-        ids=["unknown-family", "empty-downtimes"],
+        [["--families", "nonsense"], ["--downtimes", ""], ["--sizes", "-5"]],
+        ids=["unknown-family", "empty-downtimes", "size-below-family-minimum"],
     )
     def test_coordinate_refuses_a_bad_grid_before_binding(self, bad_grid, capsys):
         argv = [*self.CLI_ARGS, *bad_grid]
