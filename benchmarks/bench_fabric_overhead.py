@@ -39,10 +39,13 @@ from repro.experiments.fabric import FabricCoordinator, FabricWorker
 from _bench_utils import add_output_argument, write_json_report, report_scaffold
 
 #: One scenario per shard, two shards: both workers get real work and the
-#: byte-identity comparison still covers a multi-scenario merge.
+#: byte-identity comparison still covers a multi-scenario merge.  The sizes
+#: keep the in-process run near 0.25 s, so the coordinator's fixed latency
+#: (up to 50 ms of completion polling and 50 ms of shutdown) does not
+#: dominate the ratio.
 SPEC = CampaignSpec(
     families=("montage",),
-    sizes=(20, 30),
+    sizes=(60, 100),
     seeds=(0, 1, 2),
     heuristics=(
         "DF-CkptNvr", "DF-CkptAlws", "DF-CkptW", "BF-CkptW", "DF-CkptC", "BF-CkptC",

@@ -330,8 +330,8 @@ def run_monte_carlo(
         ``"python"`` replays the replicas one by one through
         :func:`simulate_schedule`; ``"numpy"`` simulates all replicas at
         once (:mod:`repro.simulation.engine_np`); ``"auto"``/``None`` picks
-        NumPy at every replica count (it overtakes the replica loop from
-        about 16 replicas).  Resolution requires the ``monte_carlo``
+        NumPy at every replica count (level with the replica loop at about
+        4 replicas, ahead from 8).  Resolution requires the ``monte_carlo``
         capability, so backends without a simulator (e.g. ``native``)
         fall back to the best capable one instead of erroring.  Both
         engines produce bit-for-bit identical samples for the same

@@ -38,7 +38,6 @@ from ..core.task import Task
 __all__ = [
     "WORKFLOW_FAMILIES",
     "AVERAGE_TASK_WEIGHTS",
-    "MIN_TASKS",
     "check_task_count",
     "montage",
     "cybershake",
@@ -60,7 +59,7 @@ AVERAGE_TASK_WEIGHTS: dict[str, float] = {
 }
 
 #: Smallest task count each family's generator accepts.
-MIN_TASKS: dict[str, int] = {
+_MIN_TASKS: dict[str, int] = {
     "montage": 10,
     "cybershake": 8,
     "ligo": 9,
@@ -111,10 +110,10 @@ class _Builder:
 
 
 def check_task_count(family: str, n_tasks: int) -> int:
-    """Return ``n_tasks`` if ``family``'s generator accepts it (:data:`MIN_TASKS`)."""
+    """Return ``n_tasks`` if ``family``'s generator accepts it, else raise."""
     if not isinstance(n_tasks, int) or isinstance(n_tasks, bool):
         raise TypeError("n_tasks must be an int")
-    minimum = MIN_TASKS[family]
+    minimum = _MIN_TASKS[family]
     if n_tasks < minimum:
         raise ValueError(f"this family needs at least {minimum} tasks, got {n_tasks}")
     return n_tasks
