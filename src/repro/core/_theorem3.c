@@ -3,17 +3,27 @@
  * Compiled on first use by repro.core.evaluator_native (cc -O3 -shared) and
  * loaded through ctypes; no Python.h dependency, so any C toolchain works.
  *
- * Two entry points mirror the two phases of the incremental sweep engine
- * (repro.core.sweep.SweepState):
+ * Two entry points make up a native SweepState evaluation
+ * (repro.core.sweep.SweepState), one call each per candidate set:
  *
- *   repro_fill_rows       - Algorithm-1 lost-work fill of a set of logical
- *                           rows, from the same per-position closure /
- *                           frontier bitmask words the numpy fill uses;
- *                           every candidate slot of a row is overwritten.
+ *   repro_fill_rows       - everything between two candidate sets: flips
+ *                           the toggled checkpoints (flags, costs,
+ *                           charges), re-derives the closure / frontier
+ *                           bitmask words of the toggled positions and
+ *                           their descendants, selects the rows a toggle
+ *                           can change, and refills them with the
+ *                           Algorithm-1 lost-work fill (every candidate
+ *                           slot of a row is overwritten).  The numpy
+ *                           engine keeps the same mask recurrence in
+ *                           Python; this file does not share it.
  *   repro_theorem3_kernel - the sequential Theorem-3 recursion (properties
  *                           [A]/[B]/[C] + Equation (1)), resumable from a
  *                           stored running-sum history exactly like the
  *                           numpy kernel.
+ *
+ * The fill reads one per-state context (repro_sweep_ctx); the kernel takes
+ * plain arguments.  The Python side binds every pointer of both once per
+ * state.
  *
  * Determinism contract: both functions are pure functions of their inputs
  * with a fixed operation order (per-row ascending-bit charge sums, per-
@@ -43,7 +53,7 @@
 
 /* Bumped whenever an exported signature changes; the Python loader refuses
  * to use a cached shared object with a different version. */
-int64_t repro_abi_version(void) { return 2; }
+int64_t repro_abi_version(void) { return 3; }
 
 /* ------------------------------------------------------------------ */
 /* Fast exp / expm1                                                    */
@@ -112,6 +122,71 @@ static inline double fast_expm1(double x) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Sweep context: everything the fill entry point reads or updates    */
+/* ------------------------------------------------------------------ */
+/* One context per SweepState, bound once (its ctypes mirror is
+ * SweepContext in repro.core.evaluator_native; repro_sweep_ctx_size lets
+ * the loader check that both agree on the layout).  Positions are 1-based
+ * as in the Python engine; bit p of a (words)-word mask stands for
+ * position p.  The instance tables are shared, read-only copies of the
+ * Python _InstanceTables entry; desc and row_reach stay NULL until the
+ * first incremental evaluation needs them. */
+typedef struct {
+    int64_t n;
+    int64_t words;
+    int64_t threads;
+    /* instance tables (read-only) */
+    const int64_t *cand_ptr;       /* CSR candidate lists, one per row */
+    const int64_t *cand_idx;
+    const int64_t *pred_ptr;       /* CSR sorted direct predecessors */
+    const int64_t *pred_idx;
+    const uint64_t *desc;          /* (n+1) x words descendant masks */
+    const uint64_t *row_reach;     /* (n+1) x words per-row reachability */
+    const double *base_charges;    /* (64 words) charge of a plain position */
+    const double *recovery_costs;  /* (n+1) charge of a checkpointed one */
+    const double *raw_ckpt_costs;  /* (n) checkpoint cost per position */
+    /* per-state configuration, masks and outputs */
+    const int64_t *toggles;        /* positions this call flips */
+    uint8_t *checkpointed;         /* (n+1) */
+    double *ckpt_costs;            /* (n) zero where not checkpointed */
+    double *charges;               /* (64 words) */
+    uint64_t *fwords;              /* (n+1) x words frontier masks */
+    uint64_t *cwords;              /* (n+1) x words closure masks */
+    double *loss_t;                /* (n+1) x (n+1), loss_t[i*(n+1) + k] */
+    int64_t *rows;                 /* (n) scratch: rows to refill */
+    uint64_t *scratch;             /* (4 words) scratch */
+} repro_sweep_ctx;
+
+int64_t repro_sweep_ctx_size(void) { return (int64_t)sizeof(repro_sweep_ctx); }
+
+/* Fills of at least this many rows are split across ctx->threads. */
+#define PARALLEL_MIN_ROWS 128
+
+/* ------------------------------------------------------------------ */
+/* Traversal masks                                                     */
+/* ------------------------------------------------------------------ */
+/* Re-derive position p's frontier (the union of its direct predecessors'
+ * closures) and closure (p itself plus, unless p is checkpointed, its
+ * frontier).  Predecessors sit at smaller positions, so visiting positions
+ * in ascending order sees every input up to date. */
+static void update_position(const repro_sweep_ctx *ctx, int64_t p) {
+    int64_t words = ctx->words;
+    uint64_t *front = ctx->fwords + (size_t)p * (size_t)words;
+    uint64_t *closure = ctx->cwords + (size_t)p * (size_t)words;
+    memset(front, 0, (size_t)words * sizeof(uint64_t));
+    for (int64_t q = ctx->pred_ptr[p]; q < ctx->pred_ptr[p + 1]; q++) {
+        const uint64_t *cw = ctx->cwords + (size_t)ctx->pred_idx[q] * (size_t)words;
+        for (int64_t w = 0; w < words; w++)
+            front[w] |= cw[w];
+    }
+    if (ctx->checkpointed[p])
+        memset(closure, 0, (size_t)words * sizeof(uint64_t));
+    else
+        memcpy(closure, front, (size_t)words * sizeof(uint64_t));
+    closure[p >> 6] |= 1ULL << (p & 63);
+}
+
+/* ------------------------------------------------------------------ */
 /* Algorithm-1 lost-work row fill                                      */
 /* ------------------------------------------------------------------ */
 /* One logical row k: walk the candidates in position order, accumulate the
@@ -121,29 +196,24 @@ static inline double fast_expm1(double x) {
  * nothing is charged), and no other entry of the column can ever be
  * nonzero, so a refill needs no clearing pass. */
 static void fill_one_row(
+    const repro_sweep_ctx *ctx,
     int64_t k,
-    int64_t words,
-    const uint64_t *fwords,
-    const uint64_t *cwords,
-    const int64_t *cand_ptr,
-    const int64_t *cand_idx,
-    const int64_t *pred_ptr,
-    const int64_t *pred_idx,
-    const double *charges,
-    double *loss_t,
-    int64_t n1,
     uint64_t *regen,   /* scratch, words entries */
     uint64_t *front)   /* scratch, words entries */
 {
+    int64_t words = ctx->words;
+    int64_t n1 = ctx->n + 1;
+    const int64_t *pred_ptr = ctx->pred_ptr;
+    const int64_t *pred_idx = ctx->pred_idx;
     memset(regen, 0, (size_t)words * sizeof(uint64_t));
-    for (int64_t t = cand_ptr[k]; t < cand_ptr[k + 1]; t++) {
-        int64_t i = cand_idx[t];
+    for (int64_t t = ctx->cand_ptr[k]; t < ctx->cand_ptr[k + 1]; t++) {
+        int64_t i = ctx->cand_idx[t];
         const uint64_t *frontier;
         int64_t pe = pred_ptr[i + 1];
         if (pred_idx[pe - 1] < k) {
             /* Every predecessor sits below k: the precomputed full
              * frontier applies verbatim. */
-            frontier = fwords + (size_t)i * (size_t)words;
+            frontier = ctx->fwords + (size_t)i * (size_t)words;
         } else {
             /* Predecessor list straddles k: the traversal only descends
              * through predecessors placed below k, so OR exactly their
@@ -153,7 +223,7 @@ static void fill_one_row(
                 int64_t p = pred_idx[q];
                 if (p >= k)
                     break;
-                const uint64_t *cw = cwords + (size_t)p * (size_t)words;
+                const uint64_t *cw = ctx->cwords + (size_t)p * (size_t)words;
                 for (int64_t w = 0; w < words; w++)
                     front[w] |= cw[w];
             }
@@ -166,62 +236,117 @@ static void fill_one_row(
             if (!visited)
                 continue;
             regen[w] |= visited;
-            const double *charge_base = charges + (w << 6);
+            const double *charge_base = ctx->charges + (w << 6);
             do {
                 int b = __builtin_ctzll(visited);
                 value += charge_base[b];
                 visited &= visited - 1;
             } while (visited);
         }
-        loss_t[(size_t)i * (size_t)n1 + (size_t)k] = value;
+        ctx->loss_t[(size_t)i * (size_t)n1 + (size_t)k] = value;
     }
 }
 
-/* Fill every row in `rows`.  Rows are independent and each writes only its
- * own column of loss_t, so the OpenMP split (when compiled in and
- * threads > 1) cannot change any value. */
-void repro_fill_rows(
-    int64_t n_rows,
-    const int64_t *rows,
-    int64_t words,
-    const uint64_t *fwords,
-    const uint64_t *cwords,
-    const int64_t *cand_ptr,
-    const int64_t *cand_idx,
-    const int64_t *pred_ptr,
-    const int64_t *pred_idx,
-    const double *charges,
-    double *loss_t,
-    int64_t n1,
-    int64_t threads)
-{
+/* Fill the first n_rows entries of ctx->rows.  Rows are independent and
+ * each writes only its own column of loss_t, so the OpenMP split (when
+ * compiled in, with threads > 1 and enough rows) cannot change any
+ * value. */
+static void fill_rows(const repro_sweep_ctx *ctx, int64_t n_rows) {
+    int64_t words = ctx->words;
 #ifdef _OPENMP
-    if (threads > 1) {
-        #pragma omp parallel num_threads((int)threads)
+    if (ctx->threads > 1 && n_rows >= PARALLEL_MIN_ROWS) {
+        #pragma omp parallel num_threads((int)ctx->threads)
         {
             uint64_t *scratch = malloc((size_t)(2 * words) * sizeof(uint64_t));
             #pragma omp for schedule(dynamic, 16)
-            for (int64_t r = 0; r < n_rows; r++) {
-                fill_one_row(
-                    rows[r], words, fwords, cwords, cand_ptr, cand_idx,
-                    pred_ptr, pred_idx, charges, loss_t, n1,
-                    scratch, scratch + words);
-            }
+            for (int64_t r = 0; r < n_rows; r++)
+                fill_one_row(ctx, ctx->rows[r], scratch, scratch + words);
             free(scratch);
         }
         return;
     }
-#else
-    (void)threads;
 #endif
-    uint64_t *scratch = malloc((size_t)(2 * words) * sizeof(uint64_t));
-    for (int64_t r = 0; r < n_rows; r++) {
-        fill_one_row(
-            rows[r], words, fwords, cwords, cand_ptr, cand_idx,
-            pred_ptr, pred_idx, charges, loss_t, n1,
-            scratch, scratch + words);
+    uint64_t *scratch = ctx->scratch + 2 * words;
+    for (int64_t r = 0; r < n_rows; r++)
+        fill_one_row(ctx, ctx->rows[r], scratch, scratch + words);
+}
+
+/* Everything a SweepState evaluation does between two candidate sets,
+ * before the Theorem-3 kernel:
+ *
+ *   1. flip the checkpoint state of the n_toggles positions in
+ *      ctx->toggles, with their checkpoint costs and charges;
+ *   2. re-derive the frontier and closure masks of those positions and of
+ *      their descendants, in ascending position order (every position
+ *      when refill_all is set: the first evaluation of a fresh or reset
+ *      state, whose desc / row_reach may still be NULL);
+ *   3. select the rows k above the lowest toggle whose reachable set
+ *      contains a toggled position (a toggle anywhere else provably
+ *      cannot change row k), or every row when refill_all is set;
+ *   4. refill those rows.
+ *
+ * Returns the number of rows refilled.  The masks are exact bit
+ * operations and the fill arithmetic is that of fill_one_row, so the
+ * result equals the numpy engine's Python mask maintenance and a fresh
+ * state's fill bit for bit. */
+int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles, int64_t refill_all) {
+    int64_t n = ctx->n;
+    int64_t words = ctx->words;
+    const int64_t *toggles = ctx->toggles;
+
+    for (int64_t t = 0; t < n_toggles; t++) {
+        int64_t c = toggles[t];
+        uint8_t on = ctx->checkpointed[c] ? 0 : 1;
+        ctx->checkpointed[c] = on;
+        ctx->ckpt_costs[c - 1] = on ? ctx->raw_ckpt_costs[c - 1] : 0.0;
+        ctx->charges[c] = on ? ctx->recovery_costs[c] : ctx->base_charges[c];
     }
-    free(scratch);
+
+    int64_t n_rows = 0;
+    if (refill_all) {
+        for (int64_t p = 1; p <= n; p++) {
+            update_position(ctx, p);
+            ctx->rows[n_rows++] = p;
+        }
+    } else {
+        uint64_t *toggled = ctx->scratch;
+        uint64_t *affected = ctx->scratch + words;
+        memset(toggled, 0, (size_t)words * sizeof(uint64_t));
+        memset(affected, 0, (size_t)words * sizeof(uint64_t));
+        int64_t pivot = n + 1;
+        for (int64_t t = 0; t < n_toggles; t++) {
+            int64_t c = toggles[t];
+            const uint64_t *dw = ctx->desc + (size_t)c * (size_t)words;
+            toggled[c >> 6] |= 1ULL << (c & 63);
+            for (int64_t w = 0; w < words; w++)
+                affected[w] |= dw[w];
+            if (c < pivot)
+                pivot = c;
+        }
+        for (int64_t w = 0; w < words; w++)
+            affected[w] |= toggled[w];
+        for (int64_t w = 0; w < words; w++) {
+            uint64_t bits = affected[w];
+            while (bits) {
+                update_position(ctx, (w << 6) + __builtin_ctzll(bits));
+                bits &= bits - 1;
+            }
+        }
+        /* Toggled bits all sit at or above the pivot, so lower words of a
+         * row's reachable set cannot meet them. */
+        int64_t first_word = pivot >> 6;
+        for (int64_t k = pivot + 1; k <= n; k++) {
+            const uint64_t *reach = ctx->row_reach + (size_t)k * (size_t)words;
+            for (int64_t w = first_word; w < words; w++) {
+                if (reach[w] & toggled[w]) {
+                    ctx->rows[n_rows++] = k;
+                    break;
+                }
+            }
+        }
+    }
+    fill_rows(ctx, n_rows);
+    return n_rows;
 }
 
 /* ------------------------------------------------------------------ */

@@ -20,8 +20,16 @@ Entry points
 * :func:`native_available` / :func:`native_unavailable_reason` — probe (and
   memoize) whether the kernel can be built and loaded here;
 * :func:`load_kernels` — the ctypes bindings used by
-  :class:`repro.core.sweep.SweepState` for its native fill / kernel phases.
-  Every native evaluation, one-shot included, runs through a sweep state.
+  :class:`repro.core.sweep.SweepState`: one fill call and one kernel call
+  per candidate set.  The fill (:attr:`NativeKernels.fill_rows`) flips the
+  toggled checkpoints, re-derives the traversal masks, picks the rows to
+  refill and refills them, reading one :class:`SweepContext` whose
+  pointers the state binds once; the numpy engine keeps that mask
+  maintenance in Python.  Every native evaluation, one-shot included,
+  runs through a sweep state.
+
+The loader refuses a compiled library whose ABI version (3) or
+sweep-context size differs from this module's :class:`SweepContext`.
 
 Environment knobs
 -----------------
@@ -38,9 +46,11 @@ Environment knobs
     Any non-empty value marks the backend unavailable (useful to pin the
     numpy path, and to exercise the fallback in tests).
 ``REPRO_NATIVE_THREADS``
-    Worker threads for bulk row fills (default: the CPU count; fills of a
-    few rows always stay serial).  Thread count can never change a value —
-    rows are priced independently.
+    Worker threads for bulk row fills (default 1; fills of fewer than 128
+    rows always stay serial).  Thread count can never change a value —
+    rows are priced independently.  More threads rarely pay: a fill of a
+    few hundred rows is over before the threads are busy, and a second
+    thread per process competes with the other ``--jobs`` workers.
 ``REPRO_NATIVE_SANITIZE``
     Comma-separated sanitizers to compile the kernel with: ``asan``,
     ``ubsan``, ``tsan`` (CI hardening; see the ``native-sanitize`` job).
@@ -75,7 +85,7 @@ __all__ = [
 
 #: ABI version this module expects; must match ``repro_abi_version()`` in
 #: the C source (bumped together whenever an exported signature changes).
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _SOURCE_PATH = Path(__file__).with_name("_theorem3.c")
 
@@ -88,12 +98,48 @@ class NativeBuildError(RuntimeError):
     """The native kernel could not be compiled or loaded on this machine."""
 
 
+class SweepContext(ctypes.Structure):
+    """ctypes mirror of ``repro_sweep_ctx``: what the fill entry point reads
+    and updates.
+
+    A :class:`repro.core.sweep.SweepState` fills one in at construction
+    with the raw data pointers of C-contiguous arrays it keeps alive for its
+    whole life (``desc`` / ``row_reach`` once its first incremental
+    evaluation builds them), then passes only the toggle count per call.
+    """
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("words", ctypes.c_int64),
+        ("threads", ctypes.c_int64),
+        ("cand_ptr", ctypes.c_void_p),
+        ("cand_idx", ctypes.c_void_p),
+        ("pred_ptr", ctypes.c_void_p),
+        ("pred_idx", ctypes.c_void_p),
+        ("desc", ctypes.c_void_p),
+        ("row_reach", ctypes.c_void_p),
+        ("base_charges", ctypes.c_void_p),
+        ("recovery_costs", ctypes.c_void_p),
+        ("raw_ckpt_costs", ctypes.c_void_p),
+        ("toggles", ctypes.c_void_p),
+        ("checkpointed", ctypes.c_void_p),
+        ("ckpt_costs", ctypes.c_void_p),
+        ("charges", ctypes.c_void_p),
+        ("fwords", ctypes.c_void_p),
+        ("cwords", ctypes.c_void_p),
+        ("loss_t", ctypes.c_void_p),
+        ("rows", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+    ]
+
+
 class NativeKernels:
     """ctypes bindings of the compiled kernel library.
 
-    ``fill_rows`` and ``theorem3_kernel`` mirror the C signatures; callers
-    pass raw data pointers (``ndarray.ctypes.data``) of C-contiguous arrays
-    they own for the duration of the call.
+    ``fill_rows(ctx, n_toggles, refill_all) -> rows refilled`` takes a
+    :class:`SweepContext` by reference; ``theorem3_kernel`` mirrors its C
+    signature, with raw data pointers of C-contiguous arrays the caller
+    owns for the duration of the call.
     """
 
     def __init__(
@@ -107,12 +153,12 @@ class NativeKernels:
         self.openmp = openmp
         self.sanitizers = sanitizers
         self.fill_rows = lib.repro_fill_rows
-        self.fill_rows.restype = None
-        self.fill_rows.argtypes = (
-            [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-            + [ctypes.c_void_p] * 8  # fwords..charges, loss_t
-            + [ctypes.c_int64] * 2  # n1, threads
-        )
+        self.fill_rows.restype = ctypes.c_int64
+        self.fill_rows.argtypes = [
+            ctypes.POINTER(SweepContext),
+            ctypes.c_int64,
+            ctypes.c_int64,
+        ]
         self.theorem3_kernel = lib.repro_theorem3_kernel
         self.theorem3_kernel.restype = None
         self.theorem3_kernel.argtypes = [
@@ -140,7 +186,7 @@ def _fill_threads() -> int:
             return max(1, int(raw))
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    return 1
 
 
 def _compiler() -> str | None:
@@ -330,6 +376,13 @@ def _build_and_load() -> NativeKernels:
         # (practically impossible) or a hand-placed library: reject it.
         raise NativeBuildError(
             f"cached kernel has ABI {int(abi())}, expected {_ABI_VERSION}"
+        )
+    ctx_size = lib.repro_sweep_ctx_size
+    ctx_size.restype = ctypes.c_int64
+    if int(ctx_size()) != ctypes.sizeof(SweepContext):
+        raise NativeBuildError(
+            f"kernel sweep context is {int(ctx_size())} bytes, the ctypes "
+            f"mirror {ctypes.sizeof(SweepContext)}"
         )
     selftest = lib.repro_native_selftest
     selftest.restype = ctypes.c_double

@@ -2,11 +2,16 @@
 
 This module is the one place that knows how the array backends compute the
 Theorem-3 expected makespan.  :class:`SweepState` evaluates checkpoint sets
-over one fixed linearization on the ``"numpy"`` backend, or — with the
-Algorithm-1 fill and the Theorem-3 recursion swapped for the compiled
-kernels of :mod:`repro.core.evaluator_native` — on ``"native"``.  A one-shot
-``evaluate_schedule(..., backend="numpy" | "native")`` is a fresh state
-evaluated once: a sweep of length one.
+over one fixed linearization on the ``"numpy"`` backend, or on
+``"native"``, where each candidate set costs two calls into the compiled
+library of :mod:`repro.core.evaluator_native`: one fill call does
+everything between two sets (apply the toggles, re-derive the traversal
+masks, select and refill the invalidated rows) and one kernel call runs
+the Theorem-3 recursion.  The native path does not share the Python mask
+maintenance of the numpy engine (:meth:`SweepState._update_masks`); it
+runs the same recurrence in C over word-matrix copies of the delta
+tables.  A one-shot ``evaluate_schedule(..., backend="numpy" | "native")``
+is a fresh state evaluated once: a sweep of length one.
 
 Every optimisation layer of this reproduction — the paper's ``N = 1..n-1``
 checkpoint-count search (Section 5), greedy construction, and local-search
@@ -58,6 +63,7 @@ path is needed, and callers never have to classify their batches.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from bisect import bisect_left
@@ -195,6 +201,12 @@ def _mask_charges(mask_rows: Any, charge_lut: Any) -> Any:
     return per_byte.sum(axis=1)
 
 
+def _word_matrix(masks: Sequence[int], mask_bytes: int) -> Any:
+    """Big-int bitmasks as the rows of a ``(len(masks), words)`` uint64 matrix."""
+    raw = b"".join(mask.to_bytes(mask_bytes, "little") for mask in masks)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), mask_bytes // 8)
+
+
 class _InstanceTables:
     """Backend-independent tables of one (workflow, order) instance.
 
@@ -234,8 +246,11 @@ class _InstanceTables:
         "cand_idx",
         "pred_ptr",
         "pred_idx",
+        "recovery_costs",
         "row_reach",
         "desc",
+        "reach_words",
+        "desc_words",
     )
 
     def __init__(self, workflow: Workflow, order: tuple[int, ...]) -> None:
@@ -289,8 +304,11 @@ class _InstanceTables:
         self.cand_idx = None
         self.pred_ptr = None
         self.pred_idx = None
+        self.recovery_costs = None
         self.row_reach = None
         self.desc = None
+        self.reach_words = None
+        self.desc_words = None
 
     def ensure_numpy_fill(self) -> None:
         """Build the padded-candidate / truncation tables the numpy fill reads."""
@@ -321,7 +339,8 @@ class _InstanceTables:
         self.cand_pad = cand_pad
 
     def ensure_native_fill(self) -> None:
-        """Build the CSR candidate / predecessor mirrors the C fill reads."""
+        """Build the CSR candidate / predecessor mirrors and the per-position
+        recovery costs the C fill reads."""
         if self.cand_ptr is not None:
             return
         n = self.n
@@ -342,6 +361,7 @@ class _InstanceTables:
         self.cand_idx = cand_idx
         self.pred_ptr = pred_ptr
         self.pred_idx = pred_idx
+        self.recovery_costs = np.asarray(self.recovery_cost, dtype=np.float64)
         self.cand_ptr = cand_ptr
 
     def ensure_delta(self) -> None:
@@ -354,7 +374,8 @@ class _InstanceTables:
         ancestors below ``k``).  A toggle at a position outside
         ``row_reach[k]`` provably cannot change row ``k``.  Python big-int
         bitsets keep this ``O(n * |E| / 64)``; one-shot evaluations skip it
-        entirely.
+        entirely.  ``reach_words`` / ``desc_words`` are ``(n + 1, words)``
+        uint64 copies of ``row_reach`` / ``desc`` for the C fill.
         """
         if self.row_reach is not None:
             return
@@ -382,6 +403,8 @@ class _InstanceTables:
             for s in succs[c]:
                 mask |= desc[s] | (1 << s)
             desc[c] = mask
+        self.desc_words = _word_matrix(desc, self.mask_bytes)
+        self.reach_words = _word_matrix(reach, self.mask_bytes)
         self.desc = desc
         self.row_reach = reach
 
@@ -419,8 +442,11 @@ class SweepStats:
     ``fill_seconds`` / ``kernel_seconds`` stay zero unless the state was
     created with ``profile=True`` — the timer calls are kept off the hot path
     by default.  ``kernel_seconds`` covers the vectorized Equation-(1) slab
-    *and* the sequential Theorem-3 recursion; everything else (set deltas,
-    bookkeeping, result construction) is the caller-visible overhead.
+    *and* the sequential Theorem-3 recursion; on native, ``fill_seconds`` is
+    the whole fill call (toggles, masks, row selection and fill), on numpy
+    the row selection and fill after the Python mask update.  Everything
+    else (set deltas, bookkeeping, result construction) is the
+    caller-visible overhead.
     ``rows_restored`` always reads 0: every invalidated row is refilled.  The
     field is kept because the ``perfbench`` trace reads it.
     """
@@ -451,10 +477,12 @@ class SweepState:
         resolution (and the trivial ``n = 0`` / ``lambda = 0`` cases)
         evaluate each set eagerly through the pure-Python reference —
         exactly what ``batch_evaluate`` always did on that path.  The
-        native resolution swaps the Algorithm-1 fill and the Theorem-3
-        recursion for the compiled kernels of
-        :mod:`repro.core.evaluator_native` while sharing all mask
-        maintenance and delta bookkeeping with the numpy engine.
+        native resolution hands everything between two candidate sets —
+        toggles, traversal masks, row selection and the Algorithm-1 fill —
+        to one call of the compiled fill of
+        :mod:`repro.core.evaluator_native`, and the Theorem-3 recursion to
+        its compiled kernel; Python keeps only the set delta.  The numpy
+        resolution maintains the masks in Python (:meth:`_update_masks`).
     profile:
         Record wall-clock phase timings in :attr:`stats` (adds two
         ``perf_counter`` calls per evaluation phase; off by default).
@@ -506,72 +534,21 @@ class SweepState:
         tables = _instance_tables(workflow, self.order)
         self._tables = tables
         self._position = tables.position
-        self._weight = tables.weight
-        self._recovery_cost = tables.recovery_cost
-        self._predecessors = tables.predecessors
         self._weights = tables.weights
         self._raw_ckpt_costs = tables.raw_ckpt_costs
-        self._mask_bytes = tables.mask_bytes
         self._mask_words = tables.mask_words
-        self._m_max = tables.m_max
-        self._cand_len = tables.cand_len
-        self._pfbase = tables.pfbase
-        self._pred_arrays = tables.pred_arrays
 
         # The delta-only tables (ancestor / reachability / descendant
         # bitmasks) are built lazily on the first *incremental* evaluation —
         # a one-shot evaluation (a sweep of length one) never needs them.
         # They may already exist on the shared entry from an earlier state.
-        self._row_reach: list[int] | None = tables.row_reach
-        self._desc: list[int] | None = tables.desc
+        self._row_reach: list[int] | None = None
+        self._desc: list[int] | None = None
 
         self._ckpt_costs = np.zeros(n)
-        self._checkpointed = bytearray(n + 1)
         self._charge_bits = tables.charge_template.copy()
-        if self._kernels is None:
-            # Byte-matrix machinery of the numpy fill: the refill gathers
-            # every row's candidate frontiers into one 3-D block, patches
-            # truncated slots from the prefix-closure table, prefix-ORs
-            # along the candidate axis and reads each candidate's freshly
-            # visited set as the XOR of consecutive prefix rows — exactly
-            # the sequential ``F_i & ~regenerated`` recurrence of
-            # Algorithm 1.  Rows are padded to a common width with position
-            # 0, whose frontier is the empty mask, so padding slots stay
-            # structurally invisible.
-            tables.ensure_numpy_fill()
-            self._charge_lut = _charge_lut(self._charge_bits)
-            self._cand_pad = tables.cand_pad
-            self._trunc_dst = tables.trunc_dst
-            self._trunc_src = tables.trunc_src
-        else:
-            # The C fill prices visited bits straight off _charge_bits and
-            # re-derives truncated frontiers from the predecessor closures,
-            # so the byte-LUT and scatter machinery is numpy-only.  What it
-            # does need are CSR mirrors of the candidate / predecessor lists.
-            tables.ensure_native_fill()
-            self._charge_lut = None
-            self._cand_pad = None
-            self._trunc_dst = None
-            self._trunc_src = None
-            self._cand_ptr = tables.cand_ptr
-            self._cand_idx = tables.cand_idx
-            self._pred_ptr = tables.pred_ptr
-            self._pred_idx = tables.pred_idx
         self._fwords = np.zeros((n + 1, self._mask_words), dtype=np.uint64)
         self._cwords = np.zeros((n + 1, self._mask_words), dtype=np.uint64)
-        # Fill scratch, grown lazily to the largest chunk actually needed
-        # (never the n * m_max worst case — see _refill_rows' chunking).
-        self._f3_buf: Any = None
-        self._v3_buf: Any = None
-        # Per-state prefix-closure rows (config-dependent content; the
-        # layout — which block belongs to which position — is fixed by the
-        # shared ``pfbase`` / ``pred_arrays``).
-        self._pf_flat = np.zeros((tables.pf_rows, self._mask_words), dtype=np.uint64)
-
-        # Traversal masks (big-int mirrors drive the incremental updates);
-        # populated for the actual configuration by the first evaluation.
-        self._closures = [0] * (n + 1)
-        self._frontiers = [0] * (n + 1)
 
         # loss_t[i, k] = loss[k][i] = W^i_k + R^i_k.  The transposed layout
         # makes both kernel reads (loss_t[i, :i]) and the Equation-(1) slab
@@ -579,25 +556,6 @@ class SweepState:
         # nonzero, and a refill of row k overwrites all of them, so no
         # refill ever needs to clear anything first.
         self._loss_t = np.zeros((n + 1, n + 1))
-        # -lam-scaled mirror of loss_t: the numpy Theorem-3 recursion
-        # accumulates pre-scaled running sums (one np.exp per position, no
-        # per-iteration multiply), exactly like the one-shot kernel.  The C
-        # kernel rescales inline, so the mirror is numpy-only.
-        self._neg_loss_t = (
-            np.zeros((n + 1, n + 1)) if self._kernels is None else None
-        )
-
-        # values_t[i-1, k] = E[X_i | Z^i_k]; col_inf flags saturated columns
-        # so the global saturation test stays O(n) per evaluation.  The C
-        # kernel computes conditional expectations inline per position (one
-        # values-vector scratch, no slab), so both are numpy-only.
-        if self._kernels is None:
-            self._values_t = np.zeros((n, n + 1))
-            self._col_inf = np.zeros(n, dtype=bool)
-        else:
-            self._values_t = None
-            self._col_inf = None
-            self._values_buf = np.empty(n)
 
         # running_hist[i] is the running-prefix-sum vector *after* kernel
         # iteration i (row 0 = the initial zeros).  Writing each iteration's
@@ -607,14 +565,125 @@ class SweepState:
         self._running_hist = np.zeros((n + 1, n + 1))
         self._base = np.zeros(n)
         self._base[0] = 1.0
-        # The numpy recursion assigns python floats one position at a time;
-        # the C kernel writes straight into a float64 vector.  _result treats
-        # both uniformly.
-        self._expected_times: Any = (
-            [0.0] * n if self._kernels is None else np.zeros(n)
-        )
         self._probs_buf = np.empty(n)
+        if self._kernels is None:
+            self._init_numpy(tables)
+        else:
+            self._init_native(tables)
+
+    def _init_numpy(self, tables: _InstanceTables) -> None:
+        """Allocate the numpy engine's mask, fill and kernel machinery."""
+        n = self._n
+        self._weight = tables.weight
+        self._recovery_cost = tables.recovery_cost
+        self._predecessors = tables.predecessors
+        self._mask_bytes = tables.mask_bytes
+        self._m_max = tables.m_max
+        self._cand_len = tables.cand_len
+        self._pfbase = tables.pfbase
+        self._pred_arrays = tables.pred_arrays
+        self._checkpointed: Any = bytearray(n + 1)
+        # Byte-matrix machinery of the numpy fill: the refill gathers every
+        # row's candidate frontiers into one 3-D block, patches truncated
+        # slots from the prefix-closure table, prefix-ORs along the
+        # candidate axis and reads each candidate's freshly visited set as
+        # the XOR of consecutive prefix rows — exactly the sequential
+        # ``F_i & ~regenerated`` recurrence of Algorithm 1.  Rows are padded
+        # to a common width with position 0, whose frontier is the empty
+        # mask, so padding slots stay structurally invisible.
+        tables.ensure_numpy_fill()
+        self._charge_lut = _charge_lut(self._charge_bits)
+        self._cand_pad = tables.cand_pad
+        self._trunc_dst = tables.trunc_dst
+        self._trunc_src = tables.trunc_src
+        # Fill scratch, grown lazily to the largest chunk actually needed
+        # (never the n * m_max worst case — see _refill_rows' chunking).
+        self._f3_buf: Any = None
+        self._v3_buf: Any = None
+        # Per-state prefix-closure rows (config-dependent content; the
+        # layout — which block belongs to which position — is fixed by the
+        # shared ``pfbase`` / ``pred_arrays``).
+        self._pf_flat = np.zeros((tables.pf_rows, self._mask_words), dtype=np.uint64)
+        # Traversal masks (big-int mirrors drive the incremental updates);
+        # populated for the actual configuration by the first evaluation.
+        self._closures = [0] * (n + 1)
+        self._frontiers = [0] * (n + 1)
+        # -lam-scaled mirror of loss_t: the numpy Theorem-3 recursion
+        # accumulates pre-scaled running sums (one np.exp per position, no
+        # per-iteration multiply), exactly like the one-shot kernel.
+        self._neg_loss_t = np.zeros((n + 1, n + 1))
+        # values_t[i-1, k] = E[X_i | Z^i_k]; col_inf flags saturated columns
+        # so the global saturation test stays O(n) per evaluation.
+        self._values_t = np.zeros((n, n + 1))
+        self._col_inf = np.zeros(n, dtype=bool)
+        # The recursion assigns python floats one position at a time.
+        self._expected_times: Any = [0.0] * n
         self._last_saturated = False
+
+    def _init_native(self, tables: _InstanceTables) -> None:
+        """Bind every array the two compiled calls read or write, once.
+
+        The fill reads one :class:`~repro.core.evaluator_native.SweepContext`
+        holding raw pointers; the kernel's arguments after ``(n, pivot)``
+        never change.  The state keeps every array it hands out a pointer
+        to, so none can be freed or replaced under the C code; the
+        ``desc`` / ``row_reach`` slots stay null until
+        :meth:`_ensure_delta_tables` fills them.
+        """
+        from .evaluator_native import SweepContext
+
+        n = self._n
+        words = self._mask_words
+        tables.ensure_native_fill()
+        self._cand_ptr = tables.cand_ptr
+        self._cand_idx = tables.cand_idx
+        self._pred_ptr = tables.pred_ptr
+        self._pred_idx = tables.pred_idx
+        self._recovery_costs = tables.recovery_costs
+        self._base_charges = tables.charge_template
+        self._checkpointed = np.zeros(n + 1, dtype=np.uint8)
+        self._toggles = (ctypes.c_int64 * n)()
+        self._rows_buf = np.empty(n, dtype=np.int64)
+        self._scratch = np.empty(4 * words, dtype=np.uint64)
+        self._expected_times = np.zeros(n)
+        self._values_buf = np.empty(n)
+        self._desc_words: Any = None
+        self._reach_words: Any = None
+        self._ctx = SweepContext(
+            n=n,
+            words=words,
+            threads=self._kernels.fill_threads,
+            cand_ptr=self._cand_ptr.ctypes.data,
+            cand_idx=self._cand_idx.ctypes.data,
+            pred_ptr=self._pred_ptr.ctypes.data,
+            pred_idx=self._pred_idx.ctypes.data,
+            base_charges=self._base_charges.ctypes.data,
+            recovery_costs=self._recovery_costs.ctypes.data,
+            raw_ckpt_costs=self._raw_ckpt_costs.ctypes.data,
+            toggles=ctypes.addressof(self._toggles),
+            checkpointed=self._checkpointed.ctypes.data,
+            ckpt_costs=self._ckpt_costs.ctypes.data,
+            charges=self._charge_bits.ctypes.data,
+            fwords=self._fwords.ctypes.data,
+            cwords=self._cwords.ctypes.data,
+            loss_t=self._loss_t.ctypes.data,
+            rows=self._rows_buf.ctypes.data,
+            scratch=self._scratch.ctypes.data,
+        )
+        self._ctx_ref = ctypes.byref(self._ctx)
+        self._kernel_args = (
+            self._loss_t.ctypes.data,
+            n + 1,
+            self._weights.ctypes.data,
+            self._ckpt_costs.ctypes.data,
+            self._lam,
+            self._downtime,
+            self._running_hist.ctypes.data,
+            self._base.ctypes.data,
+            self._expected_times.ctypes.data,
+            self._probs_buf.ctypes.data,
+            self._values_buf.ctypes.data,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -648,7 +717,7 @@ class SweepState:
         With ``keep_task_times=False`` the per-position vector is dropped so
         ranking sweeps retain O(1) floats per candidate.
         """
-        selected = frozenset(int(i) for i in selected)
+        selected = frozenset(map(int, selected))
         self.stats.evaluations += 1
         if self._eager:
             from .evaluator import evaluate_schedule
@@ -664,27 +733,27 @@ class SweepState:
                 evaluation = replace(evaluation, expected_task_times=())
             return evaluation
 
-        # Order-free: the list only feeds an emptiness test and a sorted()
-        # error message.
-        invalid = [i for i in selected if not 0 <= i < self.workflow.n_tasks]  # reprolint: allow[RL004]
-        if invalid:
-            raise ValueError(
-                f"checkpointed contains invalid task indices: {sorted(invalid)}"
-            )
-
-        if not self._initialized:
+        refill_all = not self._initialized
+        if refill_all:
             if self._poisoned:
                 self._reset_configuration()
-            toggled = sorted(self._position[t] for t in selected)
-            pivot = 1
-            refill_all = True
+            delta = selected
         else:
             delta = selected ^ self._current
             if not delta:
                 return self._result(keep_task_times)
-            toggled = sorted(self._position[t] for t in delta)
-            pivot = toggled[0]
-            refill_all = False
+        # Only the delta can hold an invalid index: the current set was
+        # validated when it was evaluated.  Order-free: the list only feeds
+        # an emptiness test and a sorted() error message.
+        n = self._n
+        invalid = [i for i in delta if not 0 <= i < n]  # reprolint: allow[RL004]
+        if invalid:
+            raise ValueError(
+                f"checkpointed contains invalid task indices: {sorted(invalid)}"
+            )
+        position = self._position
+        toggled = sorted(position[t] for t in delta)
+        pivot = 1 if refill_all else toggled[0]
 
         # From here until the successful return the internal state is in
         # flux; an exception (KeyboardInterrupt, MemoryError, ...) must not
@@ -692,8 +761,45 @@ class SweepState:
         # evaluation falls back to a full reset + recompute instead.
         self._initialized = False
         self._poisoned = True
-
         self.stats.toggles += len(toggled)
+        if self._kernels is None:
+            self._apply_numpy(toggled, pivot, refill_all)
+            self._run_kernel(pivot)
+        else:
+            self._apply_native(toggled, pivot, refill_all)
+            self._run_kernel_native(pivot)
+        self._current = selected
+        self._initialized = True
+        self._poisoned = False
+        return self._result(keep_task_times)
+
+    def _apply_native(self, toggled: list[int], pivot: int, refill_all: bool) -> None:
+        """Toggle, re-derive masks, select rows and refill them in one C call.
+
+        The compiled fill runs the recurrence of :meth:`_update_masks` (or
+        :meth:`_rebuild_masks` when ``refill_all``) over the state's word
+        matrices, selects the rows ``k > pivot`` whose reachable set holds a
+        toggled position, and refills them; it returns how many it refilled.
+        """
+        if not refill_all:
+            self._ensure_delta_tables()
+        count = len(toggled)
+        self._toggles[:count] = toggled
+        stats = self.stats
+        # Wall-clock reads here (and in the kernel paths below) feed the
+        # opt-in profiling stats only -- never a result or a cache key.
+        began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
+        refilled = self._kernels.fill_rows(self._ctx_ref, count, refill_all)
+        if self._profile:
+            stats.fill_seconds += time.perf_counter() - began  # reprolint: allow[RL003]
+        stats.rows_refilled += refilled
+        if refill_all:
+            stats.full_recomputes += 1
+        else:
+            stats.rows_skipped += (self._n - pivot) - refilled
+
+    def _apply_numpy(self, toggled: list[int], pivot: int, refill_all: bool) -> None:
+        """Toggle, maintain the masks in Python and refill the invalidated rows."""
         checkpointed = self._checkpointed
         for c in toggled:
             now_on = 0 if checkpointed[c] else 1
@@ -703,15 +809,13 @@ class SweepState:
                 self._recovery_cost[c] if now_on else self._weight[c]
             )
         # Rebuild the charge-LUT rows of the touched byte positions with the
-        # exact expression of ``_charge_lut`` (bit-identical tables); the
-        # native fill prices off _charge_bits directly and keeps no LUT.
-        if self._charge_lut is not None:
-            charge_bits = self._charge_bits
-            # Order-free: each iteration rewrites a distinct LUT row.
-            for b in {c >> 3 for c in toggled}:  # reprolint: allow[RL004]
-                self._charge_lut[b] = (
-                    _BYTE_BITS * charge_bits[8 * b : 8 * b + 8]
-                ).sum(axis=1)
+        # exact expression of ``_charge_lut`` (bit-identical tables).
+        charge_bits = self._charge_bits
+        # Order-free: each iteration rewrites a distinct LUT row.
+        for b in {c >> 3 for c in toggled}:  # reprolint: allow[RL004]
+            self._charge_lut[b] = (
+                _BYTE_BITS * charge_bits[8 * b : 8 * b + 8]
+            ).sum(axis=1)
         if refill_all:
             # First evaluation: derive every traversal mask for the actual
             # configuration in one bulk pass (no descendant tables needed —
@@ -726,8 +830,6 @@ class SweepState:
                 affected |= (1 << c) | desc[c]
             self._update_masks(affected)
 
-        # Wall-clock reads here (and in the kernel paths below) feed the
-        # opt-in profiling stats only -- never a result or a cache key.
         began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
         if refill_all:
             self.stats.full_recomputes += 1
@@ -743,12 +845,6 @@ class SweepState:
         self._refill_rows(rows)
         if self._profile:
             self.stats.fill_seconds += time.perf_counter() - began  # reprolint: allow[RL003]
-
-        self._run_kernel(pivot)
-        self._current = selected
-        self._initialized = True
-        self._poisoned = False
-        return self._result(keep_task_times)
 
     # ------------------------------------------------------------------
     # Traversal-mask maintenance
@@ -832,13 +928,6 @@ class SweepState:
             self._cwords[1:] = np.frombuffer(
                 bytes(c_bytes), dtype=np.uint64
             ).reshape(n, words)
-        if self._kernels is not None:
-            # The prefix-closure table is only read by the numpy fill's
-            # truncation gather (the C fill re-derives truncations from
-            # cwords) and by _update_masks, which rewrites any block it
-            # reads from the current cwords first — so the bulk rebuild is
-            # skipped on the native path.
-            return
         cwords = self._cwords
         pf_flat = self._pf_flat
         pfbase = self._pfbase
@@ -854,12 +943,18 @@ class SweepState:
         shared :class:`_InstanceTables` entry (see
         :meth:`_InstanceTables.ensure_delta`) and are adopted by every state
         that evaluates incrementally; one-shot evaluations skip them
-        entirely.
+        entirely.  A native state adopts the word matrices and points its
+        sweep context at them.
         """
         if self._row_reach is not None:
             return
         tables = self._tables
         tables.ensure_delta()
+        if self._kernels is not None:
+            self._desc_words = tables.desc_words
+            self._reach_words = tables.reach_words
+            self._ctx.desc = self._desc_words.ctypes.data
+            self._ctx.row_reach = self._reach_words.ctypes.data
         self._row_reach = tables.row_reach
         self._desc = tables.desc
 
@@ -872,13 +967,13 @@ class SweepState:
         loss matrices need no wipe: that recompute refills every row, and a
         refill overwrites every entry a row can hold.
         """
-        n = self._n
-        self._checkpointed[:] = bytes(n + 1)
         self._ckpt_costs[:] = 0.0
-        self._charge_bits[:] = 0.0
-        self._charge_bits[1 : n + 1] = self._weight[1:]
+        self._charge_bits[:] = self._tables.charge_template
         if self._kernels is None:
+            self._checkpointed[:] = bytes(self._n + 1)
             self._charge_lut = _charge_lut(self._charge_bits)
+        else:
+            self._checkpointed[:] = 0
         self._current = frozenset()
 
     # ------------------------------------------------------------------
@@ -902,11 +997,6 @@ class SweepState:
         """
         self.stats.rows_refilled += len(rows)
         if not rows or not self._m_max:
-            return
-        if self._kernels is not None:
-            # The C fill streams row by row with O(mask) scratch — no
-            # chunking needed.
-            self._fill_rows_native(rows)
             return
         # Bound the scratch footprint: high-fan-out instances can have
         # candidate widths near n, so one monolithic (R, M, words) block
@@ -969,44 +1059,10 @@ class SweepState:
             loss_t[cols, ks] = vals
             neg_loss_t[cols, ks] = vals * -self._lam
 
-    def _fill_rows_native(self, rows: list[int]) -> None:
-        """Recompute rows through the compiled Algorithm-1 fill.
-
-        The C routine walks the same closure/frontier words as the numpy
-        fill (truncated frontiers are re-derived as the OR of the
-        predecessors' closures below the row — exactly the prefix the flat
-        table stores), prices visited bits in ascending position order off
-        ``_charge_bits`` and writes every candidate's value into ``loss_t``.
-        Rows are priced independently, so the multithreaded split of large
-        fills cannot change any value.
-        """
-        kernels = self._kernels
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        n_rows = rows_arr.shape[0]
-        threads = kernels.fill_threads if n_rows >= 128 else 1
-        kernels.fill_rows(
-            n_rows,
-            rows_arr.ctypes.data,
-            self._mask_words,
-            self._fwords.ctypes.data,
-            self._cwords.ctypes.data,
-            self._cand_ptr.ctypes.data,
-            self._cand_idx.ctypes.data,
-            self._pred_ptr.ctypes.data,
-            self._pred_idx.ctypes.data,
-            self._charge_bits.ctypes.data,
-            self._loss_t.ctypes.data,
-            self._n + 1,
-            threads,
-        )
-
     # ------------------------------------------------------------------
     # Theorem-3 kernel: Equation-(1) slab + recursion resumed at the pivot
     # ------------------------------------------------------------------
     def _run_kernel(self, pivot: int) -> None:
-        if self._kernels is not None:
-            self._run_kernel_native(pivot)
-            return
         n = self._n
         lam = self._lam
         began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
@@ -1117,32 +1173,18 @@ class SweepState:
         """
         n = self._n
         began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
-        self._kernels.theorem3_kernel(
-            n,
-            pivot,
-            self._loss_t.ctypes.data,
-            n + 1,
-            self._weights.ctypes.data,
-            self._ckpt_costs.ctypes.data,
-            self._lam,
-            self._downtime,
-            self._running_hist.ctypes.data,
-            self._base.ctypes.data,
-            self._expected_times.ctypes.data,
-            self._probs_buf.ctypes.data,
-            self._values_buf.ctypes.data,
-        )
+        self._kernels.theorem3_kernel(n, pivot, *self._kernel_args)
         self.stats.kernel_positions += n + 1 - pivot
         if self._profile:
             self.stats.kernel_seconds += time.perf_counter() - began  # reprolint: allow[RL003]
 
     def _result(self, keep_task_times: bool) -> MakespanEvaluation:
         expected_times = self._expected_times
+        if self._kernels is not None:
+            expected_times = expected_times.tolist()
         return MakespanEvaluation(
             expected_makespan=math.fsum(expected_times),
-            expected_task_times=(
-                tuple(map(float, expected_times)) if keep_task_times else ()
-            ),
+            expected_task_times=tuple(expected_times) if keep_task_times else (),
             failure_free_makespan=(
                 self._failure_free_work + float(self._ckpt_costs.sum())
             ),

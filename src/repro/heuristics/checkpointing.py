@@ -78,12 +78,16 @@ def checkpoint_always(
     return frozenset(range(workflow.n_tasks))
 
 
+# The ranked selectors sort ``range(n)`` on one list of keys with a C-level
+# key function.  Sorting is stable, so ties keep ascending index order; the
+# "largest first" rankings use ``reverse=True``, which keeps that order too.
 def checkpoint_by_weight(
     workflow: Workflow, order: Sequence[int], count: int
 ) -> frozenset[int]:
     """``CkptW``: checkpoint the ``count`` tasks with the largest weights."""
     count = _validate_count(workflow, count)
-    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-workflow.task(i).weight, i))
+    weights = [task.weight for task in workflow.tasks]
+    ranked = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     return frozenset(ranked[:count])
 
 
@@ -92,9 +96,8 @@ def checkpoint_by_cost(
 ) -> frozenset[int]:
     """``CkptC``: checkpoint the ``count`` tasks with the smallest checkpoint costs."""
     count = _validate_count(workflow, count)
-    ranked = sorted(
-        range(workflow.n_tasks), key=lambda i: (workflow.task(i).checkpoint_cost, i)
-    )
+    costs = [task.checkpoint_cost for task in workflow.tasks]
+    ranked = sorted(range(len(costs)), key=costs.__getitem__)
     return frozenset(ranked[:count])
 
 
@@ -108,7 +111,14 @@ def checkpoint_by_descendant_weight(
     fail", i.e. whose downstream work is the largest).
     """
     count = _validate_count(workflow, count)
-    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-workflow.outweight(i), i))
+    weights = [task.weight for task in workflow.tasks]
+    # The edges are sorted, so each task's successor weights are collected in
+    # ascending successor order and summed exactly as Workflow.outweight does.
+    successor_weights: list[list[float]] = [[] for _ in weights]
+    for source, target in workflow.edges:
+        successor_weights[source].append(weights[target])
+    outweights = [sum(ws) for ws in successor_weights]
+    ranked = sorted(range(len(outweights)), key=outweights.__getitem__, reverse=True)
     return frozenset(ranked[:count])
 
 
@@ -136,10 +146,11 @@ def checkpoint_periodic(
 
     # Failure-free completion time of every task along the linearization
     # (checkpoint costs are not included: the boundaries slice the *work*).
+    tasks = workflow.tasks
     completion = []
     clock = 0.0
     for task_index in order:
-        clock += workflow.task(task_index).weight
+        clock += tasks[task_index].weight
         completion.append(clock)
 
     selected: set[int] = set()

@@ -135,3 +135,115 @@ class TestRegistry:
     def test_get_selector_unknown(self):
         with pytest.raises(ValueError):
             get_selector("CkptMagic")
+
+
+# ----------------------------------------------------------------------
+# The ranked selectors against a frozen copy of their first implementation
+# ----------------------------------------------------------------------
+def _frozen_by_weight(workflow, order, count):
+    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-workflow.task(i).weight, i))
+    return frozenset(ranked[:count])
+
+
+def _frozen_by_cost(workflow, order, count):
+    ranked = sorted(
+        range(workflow.n_tasks), key=lambda i: (workflow.task(i).checkpoint_cost, i)
+    )
+    return frozenset(ranked[:count])
+
+
+def _frozen_by_descendant_weight(workflow, order, count):
+    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-workflow.outweight(i), i))
+    return frozenset(ranked[:count])
+
+
+def _frozen_periodic(workflow, order, count):
+    order = tuple(order)
+    if count <= 1 or workflow.n_tasks == 0:
+        return frozenset()
+    total = workflow.total_weight
+    if total == 0.0:
+        return frozenset()
+    period = total / count
+    completion = []
+    clock = 0.0
+    for task_index in order:
+        clock += workflow.task(task_index).weight
+        completion.append(clock)
+    selected: set[int] = set()
+    boundary_index = 1
+    for position, finish in enumerate(completion):
+        if boundary_index >= count:
+            break
+        if finish >= boundary_index * period - 1e-12:
+            selected.add(order[position])
+            while boundary_index < count and finish >= boundary_index * period - 1e-12:
+                boundary_index += 1
+    return frozenset(selected)
+
+
+#: (selector, frozen reference, whether the selection reads the order).
+_FROZEN_PAIRS = [
+    (checkpoint_by_weight, _frozen_by_weight, False),
+    (checkpoint_by_cost, _frozen_by_cost, False),
+    (checkpoint_by_descendant_weight, _frozen_by_descendant_weight, False),
+    (checkpoint_periodic, _frozen_periodic, True),
+]
+
+
+def _tied_workflow():
+    """Weights, checkpoint costs and outweights with many exact ties."""
+    from repro import Task, Workflow
+
+    weights = [2.0, 4.0, 2.0, 4.0, 0.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]
+    tasks = [Task(index=i, weight=w) for i, w in enumerate(weights)]
+    # Tasks 0-3 each feed two successors of total weight 6; 4-7 feed one of
+    # weight 4 or two of weight 2; 8-11 are sinks (outweight 0).
+    edges = [
+        (0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 6),
+        (4, 8), (5, 9), (5, 11), (6, 10), (7, 9), (7, 11),
+    ]
+    return Workflow(tasks, edges).with_checkpoint_costs(mode="constant", value=1.0)
+
+
+def _assert_selectors_match(workflow, linearizations):
+    n = workflow.n_tasks
+    for selector, frozen, reads_order in _FROZEN_PAIRS:
+        for order in linearizations if reads_order else linearizations[:1]:
+            for count in range(n + 1):
+                assert selector(workflow, order, count) == frozen(workflow, order, count), (
+                    selector.__name__,
+                    count,
+                )
+
+
+class TestSelectorsMatchFrozenReference:
+    """Every N of every ranked selector returns the set the first
+    implementation (bounds-checked accessors, tuple keys) returned."""
+
+    @pytest.mark.parametrize("family", ["montage", "cybershake", "ligo", "genome"])
+    @pytest.mark.parametrize("n_tasks", [10, 60, 300])
+    def test_pegasus_families(self, family, n_tasks):
+        from repro.workflows import pegasus
+
+        workflow = pegasus.generate(family, n_tasks, seed=n_tasks).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        linearizations = [
+            linearize(workflow, "DF"),
+            linearize(workflow, "BF"),
+            linearize(workflow, "RF", rng=n_tasks),
+        ]
+        _assert_selectors_match(workflow, linearizations)
+
+    def test_tied_weights_costs_and_outweights(self):
+        workflow = _tied_workflow()
+        linearizations = [
+            linearize(workflow, "DF"),
+            linearize(workflow, "BF"),
+            linearize(workflow, "RF", rng=3),
+        ]
+        _assert_selectors_match(workflow, linearizations)
+        # The ties are real: equal keys, so only the index order decides.
+        assert len({workflow.outweight(i) for i in range(12)}) < 12
+        assert checkpoint_by_cost(workflow, linearizations[0], 3) == frozenset({0, 1, 2})

@@ -232,6 +232,111 @@ class TestNativeSweep:
         assert np_state._tables is nat_state._tables
 
 
+def _random_dag(n: int, seed: int) -> Workflow:
+    """A random DAG whose tasks have up to three predecessors each, so
+    predecessor lists straddle many rows (the truncated-frontier path)."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(1.0, 60.0, size=n)
+    edges = set()
+    for j in range(1, n):
+        for i in rng.choice(j, size=min(j, int(rng.integers(0, 4))), replace=False):
+            edges.add((int(i), j))
+    return Workflow(
+        [Task(index=i, weight=float(w)) for i, w in enumerate(weights)], sorted(edges)
+    ).with_checkpoint_costs(mode="proportional", factor=0.1)
+
+
+def _counters(stats) -> dict:
+    from dataclasses import asdict
+
+    counters = asdict(stats)
+    del counters["fill_seconds"], counters["kernel_seconds"]
+    return counters
+
+
+class TestNativeMaskMaintenance:
+    """The compiled fill re-derives the traversal masks, applies the toggles
+    and picks the rows to refill itself; the numpy engine keeps doing all
+    three in Python.  Driven through the same sets, both must hold the same
+    closure / frontier words and count the same work."""
+
+    @given(
+        n=st.sampled_from([63, 64, 65, 127, 128, 129]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        processors=st.integers(min_value=2, max_value=8),
+        downtime=st.floats(min_value=0.5, max_value=60.0),
+        toggles=st.lists(
+            st.lists(st.integers(min_value=0, max_value=128), min_size=1, max_size=5),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_masks_and_counters_match_numpy(self, n, seed, processors, downtime, toggles):
+        import numpy as np
+
+        from repro.heuristics import linearize
+
+        workflow = _random_dag(n, seed)
+        order = linearize(workflow, "RF", rng=seed)
+        platform = Platform(
+            processors=processors,
+            processor_failure_rate=1e-4 / processors,
+            downtime=downtime,
+        )
+        numpy_state = SweepState(workflow, order, platform, backend="numpy")
+        native_state = SweepState(workflow, order, platform, backend="native")
+        selected: frozenset[int] = frozenset()
+        for step in toggles:
+            selected ^= frozenset(t % n for t in step)
+            expected = numpy_state.evaluate(selected)
+            got = native_state.evaluate(selected)
+            assert np.array_equal(native_state._cwords, numpy_state._cwords)
+            assert np.array_equal(native_state._fwords, numpy_state._fwords)
+            _assert_close(got.expected_makespan, expected.expected_makespan)
+        assert _counters(native_state.stats) == _counters(numpy_state.stats)
+
+
+class TestFillThreads:
+    def test_default_is_one_thread(self, monkeypatch):
+        from repro.core.evaluator_native import _fill_threads
+
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        assert _fill_threads() == 1
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
+        assert _fill_threads() == 3
+
+    def test_two_threads_match_one_bit_for_bit(self, monkeypatch):
+        """Fills of 128 rows or more go parallel with more than one thread;
+        rows are priced independently, so the sweep cannot tell."""
+        import numpy as np
+
+        from repro.core.evaluator_native import load_kernels
+        from repro.heuristics import checkpoint_by_weight, linearize
+
+        kernels = load_kernels()
+        workflow = _random_dag(200, seed=4)
+        order = linearize(workflow, "DF")
+        platform = Platform(processors=4, processor_failure_rate=2.5e-4, downtime=5.0)
+        sets = [checkpoint_by_weight(workflow, order, count) for count in range(0, 201, 8)]
+        sets += [sets[-1] - {order[3], order[40]}, sets[5] | {order[1]}]
+
+        def sweep(threads):
+            monkeypatch.setattr(kernels, "fill_threads", threads)
+            state = SweepState(workflow, order, platform, backend="native")
+            assert state._ctx.threads == threads
+            return [state.evaluate(s) for s in sets], state._loss_t.copy(), state.stats
+
+        one, loss_one, stats_one = sweep(1)
+        two, loss_two, stats_two = sweep(2)
+        assert one == two
+        assert np.array_equal(loss_one, loss_two)
+        assert _counters(stats_one) == _counters(stats_two)
+        assert stats_one.full_recomputes == 1 and stats_one.rows_refilled >= 200
+
+
 # ----------------------------------------------------------------------
 # `repro backends` CLI
 # ----------------------------------------------------------------------

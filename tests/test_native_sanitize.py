@@ -197,13 +197,26 @@ def test_asan_build_agrees_under_preload(fresh_probe, tmp_path):
 # ----------------------------------------------------------------------
 # ThreadSanitizer: standalone driver over the OpenMP row fill
 # ----------------------------------------------------------------------
-#: A self-contained harness for ``repro_fill_rows``: a chain-plus-shortcuts
-#: instance small enough to embed but wide enough that the
-#: ``schedule(dynamic, 16)`` loop actually spreads rows across threads.
-#: ``loss_t`` starts out filled with a -1.0 sentinel, so ``entries=`` counts
-#: the slots the fill wrote.  Prints one line with that count and a
-#: position-weighted checksum, both taken over the whole ``loss_t``; any
-#: data race is TSan's to report.
+#: A self-contained harness for ``repro_fill_rows``: every position past
+#: the first has position 1 and its two nearest positions below as direct
+#: predecessors, so every row k >= 2 has the n - k + 1 candidates k..n
+#: (most of them with a straddling predecessor list) and the fill is wide
+#: enough that the ``schedule(dynamic, 16)`` loop actually spreads rows
+#: across threads.  The driver builds the sweep context the way
+#: ``SweepState`` does, then makes two calls: a first evaluation with
+#: checkpoint toggles (every row refilled, masks derived from scratch) and
+#: an incremental one that toggles three positions, one of them back off
+#: (masks re-derived for the toggles and their descendants, rows chosen by
+#: reachability).  Both fills cover at least 128 rows, the threshold for
+#: going parallel.  ``loss_t`` starts out filled with a -1.0 sentinel, so
+#: ``entries=`` counts the slots written; the line also carries both
+#: calls' refilled-row counts and position-weighted checksums of
+#: ``loss_t``, the closure / frontier words and the checkpoint costs.  Any
+#: data race is TSan's to report.  The second call fills a copy of the
+#: first call's ``loss_t`` made by ``main``: libgomp is not instrumented,
+#: so TSan cannot see the barrier between two parallel regions and would
+#: report a worker of the second rewriting a slot a worker of the first
+#: wrote.
 _TSAN_DRIVER = textwrap.dedent(
     """
     #include <stdint.h>
@@ -211,73 +224,152 @@ _TSAN_DRIVER = textwrap.dedent(
     #include <stdlib.h>
     #include <string.h>
 
-    void repro_fill_rows(
-        int64_t n_rows, const int64_t *rows, int64_t words,
-        const uint64_t *fwords, const uint64_t *cwords,
-        const int64_t *cand_ptr, const int64_t *cand_idx,
-        const int64_t *pred_ptr, const int64_t *pred_idx,
-        const double *charges, double *loss_t, int64_t n1,
-        int64_t threads);
+    /* Field for field the repro_sweep_ctx of _theorem3.c. */
+    typedef struct {
+        int64_t n, words, threads;
+        const int64_t *cand_ptr, *cand_idx, *pred_ptr, *pred_idx;
+        const uint64_t *desc, *row_reach;
+        const double *base_charges, *recovery_costs, *raw_ckpt_costs;
+        const int64_t *toggles;
+        uint8_t *checkpointed;
+        double *ckpt_costs, *charges;
+        uint64_t *fwords, *cwords;
+        double *loss_t;
+        int64_t *rows;
+        uint64_t *scratch;
+    } repro_sweep_ctx;
 
-    enum { N = 48, WORDS = 1 };
+    int64_t repro_sweep_ctx_size(void);
+    int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles,
+                            int64_t refill_all);
+
+    enum { N = 150, WORDS = 3, N1 = N + 1 };
+
+    static void set_bit(uint64_t *mask, int64_t p) {
+        mask[p >> 6] |= 1ULL << (p & 63);
+    }
 
     int main(int argc, char **argv) {
-        int64_t threads = argc > 1 ? strtoll(argv[1], NULL, 10) : 1;
-        int64_t n = N, n1 = N + 1;
-
-        /* every task's single predecessor is task 0, so every candidate
-         * takes the precomputed-frontier path and every candidate of a row
-         * charges something -- n-k+1 written entries per row, maximising
-         * concurrent writes into the shared loss matrix */
-        int64_t pred_ptr[N + 2], pred_idx[N + 1];
-        for (int64_t i = 0; i <= n; i++) {
-            pred_ptr[i] = i;
-            pred_idx[i] = 0;
+        if (repro_sweep_ctx_size() != (int64_t)sizeof(repro_sweep_ctx)) {
+            fprintf(stderr, "sweep context layout mismatch\\n");
+            return 2;
         }
-        pred_ptr[n + 1] = n + 1;
+        int64_t threads = argc > 1 ? strtoll(argv[1], NULL, 10) : 1;
 
-        /* row k considers candidates i = k..n */
-        int64_t cand_ptr[N + 2];
-        int64_t *cand_idx = malloc(sizeof(int64_t) * N * (N + 1));
+        /* predecessors of position i >= 2: 1, i - 2, i - 1 (ascending,
+         * deduplicated) */
+        static int64_t pred_ptr[N + 2], pred_idx[3 * N];
         int64_t pos = 0;
+        pred_ptr[0] = 0;
+        pred_ptr[1] = 0;
+        for (int64_t i = 1; i <= N; i++) {
+            pred_ptr[i] = pos;
+            if (i >= 2)
+                pred_idx[pos++] = 1;
+            if (i >= 4)
+                pred_idx[pos++] = i - 2;
+            if (i >= 3)
+                pred_idx[pos++] = i - 1;
+        }
+        pred_ptr[N + 1] = pos;
+
+        /* row k considers candidates i = k..N (every i >= 2 has position
+         * 1 below k); row 1 has none */
+        static int64_t cand_ptr[N + 3];
+        int64_t *cand_idx = malloc(sizeof(int64_t) * N * N1);
+        pos = 0;
         cand_ptr[0] = 0;
-        for (int64_t k = 1; k <= n; k++) {
+        cand_ptr[1] = 0;
+        for (int64_t k = 1; k <= N; k++) {
             cand_ptr[k] = pos;
-            for (int64_t i = k; i <= n; i++)
+            for (int64_t i = (k >= 2 ? k : N1); i <= N; i++)
                 cand_idx[pos++] = i;
         }
-        cand_ptr[n + 1] = pos;
+        cand_ptr[N + 1] = pos;
+        cand_ptr[N + 2] = pos;
 
-        uint64_t fwords[N + 1], cwords[N + 1];
-        for (int64_t i = 0; i <= n; i++) {
-            fwords[i] = i >= 64 ? ~0ULL : ((1ULL << i) - 1);
-            cwords[i] = i + 1 >= 64 ? ~0ULL : ((1ULL << (i + 1)) - 1);
+        /* ancestors, descendants and per-row reachability, as
+         * _InstanceTables.ensure_delta builds them */
+        static uint64_t anc[N1][WORDS], desc[N1][WORDS], reach[N1][WORDS];
+        for (int64_t i = 1; i <= N; i++)
+            for (int64_t q = pred_ptr[i]; q < pred_ptr[i + 1]; q++) {
+                int64_t j = pred_idx[q];
+                for (int w = 0; w < WORDS; w++)
+                    anc[i][w] |= anc[j][w];
+                set_bit(anc[i], j);
+            }
+        for (int64_t c = N; c >= 1; c--)
+            for (int64_t s = c + 1; s <= N; s++)
+                for (int64_t q = pred_ptr[s]; q < pred_ptr[s + 1]; q++)
+                    if (pred_idx[q] == c) {
+                        for (int w = 0; w < WORDS; w++)
+                            desc[c][w] |= desc[s][w];
+                        set_bit(desc[c], s);
+                    }
+        for (int64_t k = 1; k <= N; k++) {
+            for (int64_t t = cand_ptr[k]; t < cand_ptr[k + 1]; t++)
+                for (int w = 0; w < WORDS; w++)
+                    reach[k][w] |= anc[cand_idx[t]][w];
+            for (int64_t b = k; b < 64 * WORDS; b++)
+                reach[k][b >> 6] &= ~(1ULL << (b & 63));
         }
 
-        double charges[WORDS * 64];
-        for (int b = 0; b < WORDS * 64; b++)
-            charges[b] = 0.5 * (double)(b + 1);
+        static double base_charges[64 * WORDS], charges[64 * WORDS];
+        static double recovery[N1], raw_ckpt[N], ckpt[N];
+        for (int64_t p = 1; p <= N; p++) {
+            base_charges[p] = 0.5 * (double)(p + 1);
+            recovery[p] = 0.125 * (double)p;
+            raw_ckpt[p - 1] = 0.25 * (double)p;
+        }
+        memcpy(charges, base_charges, sizeof(charges));
 
-        size_t cells = (size_t)(n + 1) * (size_t)n1;
+        static uint8_t checkpointed[N1];
+        static uint64_t fwords[N1][WORDS], cwords[N1][WORDS], scratch[4 * WORDS];
+        static int64_t rows[N], toggles[N];
+        size_t cells = (size_t)N1 * (size_t)N1;
         double *loss_t = malloc(cells * sizeof(double));
         for (size_t c = 0; c < cells; c++)
             loss_t[c] = -1.0;
-        int64_t rows[N];
-        for (int64_t r = 0; r < n; r++)
-            rows[r] = r + 1;
 
-        repro_fill_rows(n, rows, WORDS, fwords, cwords, cand_ptr, cand_idx,
-                        pred_ptr, pred_idx, charges, loss_t, n1, threads);
+        repro_sweep_ctx ctx = {
+            N, WORDS, threads,
+            cand_ptr, cand_idx, pred_ptr, pred_idx,
+            &desc[0][0], &reach[0][0],
+            base_charges, recovery, raw_ckpt,
+            toggles, checkpointed, ckpt, charges,
+            &fwords[0][0], &cwords[0][0], loss_t, rows, scratch,
+        };
 
-        double checksum = 0.0;
+        const int64_t first[] = {5, 17, 64, 100};
+        memcpy(toggles, first, sizeof(first));
+        int64_t refilled_first = repro_fill_rows(&ctx, 4, 1);
+        double *loss_second = malloc(cells * sizeof(double));
+        memcpy(loss_second, loss_t, cells * sizeof(double));
+        free(loss_t);
+        loss_t = loss_second;
+        ctx.loss_t = loss_t;
+        const int64_t second[] = {3, 64, 130};
+        memcpy(toggles, second, sizeof(second));
+        int64_t refilled_second = repro_fill_rows(&ctx, 3, 0);
+
+        double checksum = 0.0, masks = 0.0, costs = 0.0;
         int64_t entries = 0;
         for (size_t c = 0; c < cells; c++) {
             if (loss_t[c] != -1.0)
                 entries++;
             checksum += loss_t[c] * (double)(c + 1);
         }
-        printf("entries=%lld checksum=%.17g\\n",
-               (long long)entries, checksum);
+        for (int64_t p = 0; p <= N; p++)
+            for (int w = 0; w < WORDS; w++)
+                masks += (double)(p + 1) * (double)(w + 1)
+                         * (double)(__builtin_popcountll(fwords[p][w])
+                                    + 3 * __builtin_popcountll(cwords[p][w]));
+        for (int64_t p = 0; p < N; p++)
+            costs += ckpt[p] * (double)(p + 1);
+        printf("rows=%lld,%lld entries=%lld checksum=%.17g masks=%.17g "
+               "costs=%.17g\\n",
+               (long long)refilled_first, (long long)refilled_second,
+               (long long)entries, checksum, masks, costs);
         free(cand_idx); free(loss_t);
         return 0;
     }
@@ -353,5 +445,7 @@ def test_tsan_openmp_fill_is_race_free_and_deterministic(tmp_path):
         "thread count changed the fill output — the rows-are-independent "
         f"contract is broken: {outputs}"
     )
-    # Row k writes one entry per candidate i = k..N: N (N + 1) / 2 in all.
-    assert outputs[1].startswith(f"entries={48 * 49 // 2} "), outputs[1]
+    # The first call refills all 150 rows, the second every row above the
+    # lowest toggle (3): 147.  Rows k >= 2 write one entry per candidate
+    # i = k..150: 150 * 149 / 2 in all.
+    assert outputs[1].startswith(f"rows=150,147 entries={150 * 149 // 2} "), outputs[1]

@@ -153,7 +153,7 @@ class TestContract:
             fresh = SweepState(workflow, order, platform, backend=backend)
             fresh.evaluate(current)
             assert np.array_equal(state._loss_t, fresh._loss_t)
-            if fresh._neg_loss_t is not None:
+            if backend == "numpy":
                 assert np.array_equal(state._neg_loss_t, fresh._neg_loss_t)
 
     def test_stats_accounting(self, instance):
@@ -308,6 +308,14 @@ class TestBatchEvaluatePlumbing:
             assert got.expected_task_times == ref.expected_task_times
 
 
+def _assert_recovers(state, workflow, order, platform, backend):
+    for selected in ({1, 5, 9, 20}, {5, 9}, set()):
+        got = state.evaluate(frozenset(selected))
+        ref = _reference(workflow, order, frozenset(selected), platform, backend)
+        assert got.expected_makespan == ref.expected_makespan
+        assert got.expected_task_times == ref.expected_task_times
+
+
 class TestAbortedEvaluationRecovery:
     def test_exception_mid_evaluation_poisons_then_recovers(self, instance):
         """An aborted evaluate() must not leave a half-updated state behind."""
@@ -325,8 +333,32 @@ class TestAbortedEvaluationRecovery:
             state.evaluate({1, 5, 9, 20})
         state._refill_rows = original  # type: ignore[method-assign]
 
-        for selected in ({1, 5, 9, 20}, {5, 9}, set()):
-            got = state.evaluate(frozenset(selected))
-            ref = _reference(workflow, order, frozenset(selected), platform)
-            assert got.expected_makespan == ref.expected_makespan
-            assert got.expected_task_times == ref.expected_task_times
+        _assert_recovers(state, workflow, order, platform, "numpy")
+
+    @pytest.mark.skipif(
+        not native_available(), reason="no C toolchain: native backend unavailable"
+    )
+    @pytest.mark.parametrize("first", [False, True], ids=["incremental", "first"])
+    @pytest.mark.parametrize("entry", ["fill_rows", "theorem3_kernel"])
+    def test_native_failure_poisons_then_recovers(
+        self, instance, monkeypatch, first, entry
+    ):
+        """The same contract on native, with the failure injected at a
+        compiled entry point — at the fill, before it touches anything, or
+        at the kernel, after the fill has already toggled, re-derived the
+        masks and refilled — on the first evaluation of a state and on an
+        incremental one."""
+        workflow, order, platform = instance
+        state = SweepState(workflow, order, platform, backend="native")
+        if not first:
+            state.evaluate({1, 5, 9})
+
+        def boom(*args):
+            raise MemoryError(f"injected at {entry}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(state._kernels, entry, boom)
+            with pytest.raises(MemoryError):
+                state.evaluate({1, 5, 9, 20})
+
+        _assert_recovers(state, workflow, order, platform, "native")
