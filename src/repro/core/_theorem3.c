@@ -21,16 +21,15 @@
  *                           stored running-sum history exactly like the
  *                           numpy kernel.
  *
- * The fill reads one per-state context (repro_sweep_ctx); the kernel takes
- * plain arguments.  The Python side binds every pointer of both once per
- * state.
+ * Both take plain arguments; the Python side binds every array pointer of
+ * both once per state.
  *
  * Determinism contract: both functions are pure functions of their inputs
  * with a fixed operation order (per-row ascending-bit charge sums, per-
  * position sequential reductions), so recomputing any suffix from the stored
  * history reproduces a from-scratch run bit for bit - the property the
- * sweep==one-shot tests pin.  Parallel row fills write disjoint outputs, so
- * thread count and scheduling cannot change any value.
+ * sweep==one-shot tests pin.  Rows are filled one after another on the
+ * calling thread.
  *
  * Overflow handling matches the shared canon: exponents are saturated at
  * OVERFLOW_EXPONENT (exp/expm1 arguments clipped to 700), conditional
@@ -43,10 +42,6 @@
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #define OVERFLOW_EXPONENT 700.0
 #define SMALL_EXPOSURE 1e-12
@@ -122,45 +117,24 @@ static inline double fast_expm1(double x) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Sweep context: everything the fill entry point reads or updates    */
+/* Fill context                                                        */
 /* ------------------------------------------------------------------ */
-/* One context per SweepState, bound once (its ctypes mirror is
- * SweepContext in repro.core.evaluator_native; repro_sweep_ctx_size lets
- * the loader check that both agree on the layout).  Positions are 1-based
- * as in the Python engine; bit p of a (words)-word mask stands for
- * position p.  The instance tables are shared, read-only copies of the
- * Python _InstanceTables entry; desc and row_reach stay NULL until the
- * first incremental evaluation needs them. */
+/* What the mask and row helpers below read or write, gathered by
+ * repro_fill_rows from its arguments.  Positions are 1-based as in the
+ * Python engine; bit p of a (words)-word mask stands for position p. */
 typedef struct {
     int64_t n;
     int64_t words;
-    int64_t threads;
-    /* instance tables (read-only) */
     const int64_t *cand_ptr;       /* CSR candidate lists, one per row */
     const int64_t *cand_idx;
     const int64_t *pred_ptr;       /* CSR sorted direct predecessors */
     const int64_t *pred_idx;
-    const uint64_t *desc;          /* (n+1) x words descendant masks */
-    const uint64_t *row_reach;     /* (n+1) x words per-row reachability */
-    const double *base_charges;    /* (64 words) charge of a plain position */
-    const double *recovery_costs;  /* (n+1) charge of a checkpointed one */
-    const double *raw_ckpt_costs;  /* (n) checkpoint cost per position */
-    /* per-state configuration, masks and outputs */
-    const int64_t *toggles;        /* positions this call flips */
-    uint8_t *checkpointed;         /* (n+1) */
-    double *ckpt_costs;            /* (n) zero where not checkpointed */
-    double *charges;               /* (64 words) */
+    const uint8_t *checkpointed;   /* (n+1) */
+    const double *charges;         /* (64 words) charge per position */
     uint64_t *fwords;              /* (n+1) x words frontier masks */
     uint64_t *cwords;              /* (n+1) x words closure masks */
     double *loss_t;                /* (n+1) x (n+1), loss_t[i*(n+1) + k] */
-    int64_t *rows;                 /* (n) scratch: rows to refill */
-    uint64_t *scratch;             /* (4 words) scratch */
-} repro_sweep_ctx;
-
-int64_t repro_sweep_ctx_size(void) { return (int64_t)sizeof(repro_sweep_ctx); }
-
-/* Fills of at least this many rows are split across ctx->threads. */
-#define PARALLEL_MIN_ROWS 128
+} fill_ctx;
 
 /* ------------------------------------------------------------------ */
 /* Traversal masks                                                     */
@@ -169,7 +143,7 @@ int64_t repro_sweep_ctx_size(void) { return (int64_t)sizeof(repro_sweep_ctx); }
  * closures) and closure (p itself plus, unless p is checkpointed, its
  * frontier).  Predecessors sit at smaller positions, so visiting positions
  * in ascending order sees every input up to date. */
-static void update_position(const repro_sweep_ctx *ctx, int64_t p) {
+static void update_position(const fill_ctx *ctx, int64_t p) {
     int64_t words = ctx->words;
     uint64_t *front = ctx->fwords + (size_t)p * (size_t)words;
     uint64_t *closure = ctx->cwords + (size_t)p * (size_t)words;
@@ -196,7 +170,7 @@ static void update_position(const repro_sweep_ctx *ctx, int64_t p) {
  * nothing is charged), and no other entry of the column can ever be
  * nonzero, so a refill needs no clearing pass. */
 static void fill_one_row(
-    const repro_sweep_ctx *ctx,
+    const fill_ctx *ctx,
     int64_t k,
     uint64_t *regen,   /* scratch, words entries */
     uint64_t *front)   /* scratch, words entries */
@@ -247,76 +221,82 @@ static void fill_one_row(
     }
 }
 
-/* Fill the first n_rows entries of ctx->rows.  Rows are independent and
- * each writes only its own column of loss_t, so the OpenMP split (when
- * compiled in, with threads > 1 and enough rows) cannot change any
- * value. */
-static void fill_rows(const repro_sweep_ctx *ctx, int64_t n_rows) {
-    int64_t words = ctx->words;
-#ifdef _OPENMP
-    if (ctx->threads > 1 && n_rows >= PARALLEL_MIN_ROWS) {
-        #pragma omp parallel num_threads((int)ctx->threads)
-        {
-            uint64_t *scratch = malloc((size_t)(2 * words) * sizeof(uint64_t));
-            #pragma omp for schedule(dynamic, 16)
-            for (int64_t r = 0; r < n_rows; r++)
-                fill_one_row(ctx, ctx->rows[r], scratch, scratch + words);
-            free(scratch);
-        }
-        return;
-    }
-#endif
-    uint64_t *scratch = ctx->scratch + 2 * words;
-    for (int64_t r = 0; r < n_rows; r++)
-        fill_one_row(ctx, ctx->rows[r], scratch, scratch + words);
-}
-
 /* Everything a SweepState evaluation does between two candidate sets,
  * before the Theorem-3 kernel:
  *
- *   1. flip the checkpoint state of the n_toggles positions in
- *      ctx->toggles, with their checkpoint costs and charges;
+ *   1. flip the checkpoint state of the n_toggles positions in toggles,
+ *      with their checkpoint costs and charges;
  *   2. re-derive the frontier and closure masks of those positions and of
  *      their descendants, in ascending position order (every position
  *      when refill_all is set: the first evaluation of a fresh or reset
- *      state, whose desc / row_reach may still be NULL);
+ *      state, which may pass NULL desc / row_reach);
  *   3. select the rows k above the lowest toggle whose reachable set
  *      contains a toggled position (a toggle anywhere else provably
  *      cannot change row k), or every row when refill_all is set;
  *   4. refill those rows.
  *
- * Returns the number of rows refilled.  The masks are exact bit
- * operations and the fill arithmetic is that of fill_one_row, so the
- * result equals the numpy engine's Python mask maintenance and a fresh
- * state's fill bit for bit. */
-int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles, int64_t refill_all) {
-    int64_t n = ctx->n;
-    int64_t words = ctx->words;
-    const int64_t *toggles = ctx->toggles;
+ * The instance tables (cand_*, pred_*, desc, row_reach, base_charges,
+ * recovery_costs, raw_ckpt_costs) are shared, read-only copies of the
+ * Python _InstanceTables entry; the rest is the calling state's own.
+ * rows needs n entries and scratch 4 * words.  Returns the number of rows
+ * refilled.  The masks are exact bit operations and the fill arithmetic is
+ * that of fill_one_row, so the result equals the numpy engine's Python
+ * mask maintenance and a fresh state's fill bit for bit. */
+int64_t repro_fill_rows(
+    int64_t n_toggles,
+    int64_t refill_all,
+    int64_t n,
+    int64_t words,
+    const int64_t *cand_ptr,
+    const int64_t *cand_idx,
+    const int64_t *pred_ptr,
+    const int64_t *pred_idx,
+    const uint64_t *desc,           /* (n+1) x words descendant masks */
+    const uint64_t *row_reach,      /* (n+1) x words per-row reachability */
+    const double *base_charges,     /* (64 words) charge of a plain position */
+    const double *recovery_costs,   /* (n+1) charge of a checkpointed one */
+    const double *raw_ckpt_costs,   /* (n) checkpoint cost per position */
+    const int64_t *toggles,         /* positions this call flips */
+    uint8_t *checkpointed,
+    double *ckpt_costs,             /* (n) zero where not checkpointed */
+    double *charges,
+    uint64_t *fwords,
+    uint64_t *cwords,
+    double *loss_t,
+    int64_t *rows,
+    uint64_t *scratch)
+{
+    const fill_ctx ctx = {
+        .n = n, .words = words,
+        .cand_ptr = cand_ptr, .cand_idx = cand_idx,
+        .pred_ptr = pred_ptr, .pred_idx = pred_idx,
+        .checkpointed = checkpointed, .charges = charges,
+        .fwords = fwords, .cwords = cwords, .loss_t = loss_t,
+    };
 
     for (int64_t t = 0; t < n_toggles; t++) {
         int64_t c = toggles[t];
-        uint8_t on = ctx->checkpointed[c] ? 0 : 1;
-        ctx->checkpointed[c] = on;
-        ctx->ckpt_costs[c - 1] = on ? ctx->raw_ckpt_costs[c - 1] : 0.0;
-        ctx->charges[c] = on ? ctx->recovery_costs[c] : ctx->base_charges[c];
+        uint8_t on = checkpointed[c] ? 0 : 1;
+        checkpointed[c] = on;
+        ckpt_costs[c - 1] = on ? raw_ckpt_costs[c - 1] : 0.0;
+        charges[c] = on ? recovery_costs[c] : base_charges[c];
     }
 
     int64_t n_rows = 0;
     if (refill_all) {
         for (int64_t p = 1; p <= n; p++) {
-            update_position(ctx, p);
-            ctx->rows[n_rows++] = p;
+            update_position(&ctx, p);
+            rows[n_rows++] = p;
         }
     } else {
-        uint64_t *toggled = ctx->scratch;
-        uint64_t *affected = ctx->scratch + words;
+        uint64_t *toggled = scratch;
+        uint64_t *affected = scratch + words;
         memset(toggled, 0, (size_t)words * sizeof(uint64_t));
         memset(affected, 0, (size_t)words * sizeof(uint64_t));
         int64_t pivot = n + 1;
         for (int64_t t = 0; t < n_toggles; t++) {
             int64_t c = toggles[t];
-            const uint64_t *dw = ctx->desc + (size_t)c * (size_t)words;
+            const uint64_t *dw = desc + (size_t)c * (size_t)words;
             toggled[c >> 6] |= 1ULL << (c & 63);
             for (int64_t w = 0; w < words; w++)
                 affected[w] |= dw[w];
@@ -328,7 +308,7 @@ int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles, int64_t refill_
         for (int64_t w = 0; w < words; w++) {
             uint64_t bits = affected[w];
             while (bits) {
-                update_position(ctx, (w << 6) + __builtin_ctzll(bits));
+                update_position(&ctx, (w << 6) + __builtin_ctzll(bits));
                 bits &= bits - 1;
             }
         }
@@ -336,16 +316,18 @@ int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles, int64_t refill_
          * row's reachable set cannot meet them. */
         int64_t first_word = pivot >> 6;
         for (int64_t k = pivot + 1; k <= n; k++) {
-            const uint64_t *reach = ctx->row_reach + (size_t)k * (size_t)words;
+            const uint64_t *reach = row_reach + (size_t)k * (size_t)words;
             for (int64_t w = first_word; w < words; w++) {
                 if (reach[w] & toggled[w]) {
-                    ctx->rows[n_rows++] = k;
+                    rows[n_rows++] = k;
                     break;
                 }
             }
         }
     }
-    fill_rows(ctx, n_rows);
+    uint64_t *regen = scratch + 2 * words;
+    for (int64_t r = 0; r < n_rows; r++)
+        fill_one_row(&ctx, rows[r], regen, regen + words);
     return n_rows;
 }
 

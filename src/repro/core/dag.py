@@ -68,6 +68,7 @@ class Workflow:
         "_edges",
         "_name",
         "_topo_cache",
+        "_outweights",
     )
 
     def __init__(
@@ -113,6 +114,7 @@ class Workflow:
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
         self._name = str(name)
         self._topo_cache: tuple[int, ...] | None = None
+        self._outweights: tuple[float, ...] | None = None
         # Validate acyclicity once at construction time.
         self._compute_topological_order()
 
@@ -271,7 +273,16 @@ class Workflow:
         This is the priority used by the DF / BF linearizations and by the
         ``CkptD`` checkpointing strategy (the paper's :math:`d_i`).
         """
-        return sum(self._tasks[s].weight for s in self.successors(index))
+        return self.outweights()[self._check_index(index)]
+
+    def outweights(self) -> tuple[float, ...]:
+        """:meth:`outweight` of every task, by task index (computed once)."""
+        if self._outweights is None:
+            tasks = self._tasks
+            self._outweights = tuple(
+                sum(tasks[s].weight for s in succ) for succ in self._succ
+            )
+        return self._outweights
 
     def descendant_weight(self, index: int) -> float:
         """Sum of the weights of all transitive successors of a task."""

@@ -23,13 +23,13 @@ Entry points
   :class:`repro.core.sweep.SweepState`: one fill call and one kernel call
   per candidate set.  The fill (:attr:`NativeKernels.fill_rows`) flips the
   toggled checkpoints, re-derives the traversal masks, picks the rows to
-  refill and refills them, reading one :class:`SweepContext` whose
-  pointers the state binds once; the numpy engine keeps that mask
-  maintenance in Python.  Every native evaluation, one-shot included,
-  runs through a sweep state.
+  refill and refills them, serially on the calling thread; the numpy
+  engine keeps that mask maintenance in Python.  A state binds the array
+  pointers of both calls once.  Every native evaluation, one-shot
+  included, runs through a sweep state.
 
-The loader refuses a compiled library whose ABI version (3) or
-sweep-context size differs from this module's :class:`SweepContext`.
+The loader refuses a compiled library whose ABI version (3) differs from
+this module's.
 
 Environment knobs
 -----------------
@@ -37,32 +37,22 @@ Environment knobs
     Compiler executable (default: ``cc``, then ``gcc``, then ``clang`` —
     first one found on ``PATH``).
 ``REPRO_NATIVE_CFLAGS``
-    Optimization flags (default ``-O3 -march=native``); OpenMP is probed
-    separately and dropped when unsupported.
+    Optimization flags (default ``-O3 -march=native``).
 ``REPRO_NATIVE_CACHE``
     Directory for compiled objects (default
     ``~/.cache/repro-workflows/native``).
 ``REPRO_NATIVE_DISABLE``
     Any non-empty value marks the backend unavailable (useful to pin the
     numpy path, and to exercise the fallback in tests).
-``REPRO_NATIVE_THREADS``
-    Worker threads for bulk row fills (default 1; fills of fewer than 128
-    rows always stay serial).  Thread count can never change a value —
-    rows are priced independently.  More threads rarely pay: a fill of a
-    few hundred rows is over before the threads are busy, and a second
-    thread per process competes with the other ``--jobs`` workers.
 ``REPRO_NATIVE_SANITIZE``
     Comma-separated sanitizers to compile the kernel with: ``asan``,
-    ``ubsan``, ``tsan`` (CI hardening; see the ``native-sanitize`` job).
-    The sanitizer set is part of the object-cache key, so sanitized and
-    plain builds never collide.  Caveats: an ASan-instrumented library
-    only loads into CPython when the ASan runtime is preloaded
+    ``ubsan`` (CI hardening; see the ``native-sanitize`` job).  The
+    sanitizer set is part of the object-cache key, so sanitized and plain
+    builds never collide.  Caveat: an ASan-instrumented library only loads
+    into CPython when the ASan runtime is preloaded
     (``LD_PRELOAD=$(cc -print-file-name=libasan.so)`` plus
     ``ASAN_OPTIONS=detect_leaks=0`` — CPython itself "leaks" arenas at
-    exit); TSan's runtime cannot be preloaded into CPython at all, so
-    thread-race coverage runs through a standalone compiled driver (see
-    ``tests/test_native_sanitize.py``), not through ctypes.  ``asan`` and
-    ``tsan`` are mutually exclusive.
+    exit).
 """
 
 from __future__ import annotations
@@ -98,67 +88,31 @@ class NativeBuildError(RuntimeError):
     """The native kernel could not be compiled or loaded on this machine."""
 
 
-class SweepContext(ctypes.Structure):
-    """ctypes mirror of ``repro_sweep_ctx``: what the fill entry point reads
-    and updates.
-
-    A :class:`repro.core.sweep.SweepState` fills one in at construction
-    with the raw data pointers of C-contiguous arrays it keeps alive for its
-    whole life (``desc`` / ``row_reach`` once its first incremental
-    evaluation builds them), then passes only the toggle count per call.
-    """
-
-    _fields_ = [
-        ("n", ctypes.c_int64),
-        ("words", ctypes.c_int64),
-        ("threads", ctypes.c_int64),
-        ("cand_ptr", ctypes.c_void_p),
-        ("cand_idx", ctypes.c_void_p),
-        ("pred_ptr", ctypes.c_void_p),
-        ("pred_idx", ctypes.c_void_p),
-        ("desc", ctypes.c_void_p),
-        ("row_reach", ctypes.c_void_p),
-        ("base_charges", ctypes.c_void_p),
-        ("recovery_costs", ctypes.c_void_p),
-        ("raw_ckpt_costs", ctypes.c_void_p),
-        ("toggles", ctypes.c_void_p),
-        ("checkpointed", ctypes.c_void_p),
-        ("ckpt_costs", ctypes.c_void_p),
-        ("charges", ctypes.c_void_p),
-        ("fwords", ctypes.c_void_p),
-        ("cwords", ctypes.c_void_p),
-        ("loss_t", ctypes.c_void_p),
-        ("rows", ctypes.c_void_p),
-        ("scratch", ctypes.c_void_p),
-    ]
-
-
 class NativeKernels:
     """ctypes bindings of the compiled kernel library.
 
-    ``fill_rows(ctx, n_toggles, refill_all) -> rows refilled`` takes a
-    :class:`SweepContext` by reference; ``theorem3_kernel`` mirrors its C
-    signature, with raw data pointers of C-contiguous arrays the caller
-    owns for the duration of the call.
+    ``fill_rows`` (returning the number of rows refilled) and
+    ``theorem3_kernel`` mirror the C signatures; callers pass raw data
+    pointers (``ndarray.ctypes.data``) of C-contiguous arrays they own for
+    the duration of the call.
     """
 
+    #: The row fill runs serially on the calling thread.  Both constants
+    #: stay because the perfbench metadata line prints them.
+    openmp = False
+    fill_threads = 1
+
     def __init__(
-        self,
-        lib: ctypes.CDLL,
-        path: Path,
-        openmp: bool,
-        sanitizers: tuple[str, ...] = (),
+        self, lib: ctypes.CDLL, path: Path, sanitizers: tuple[str, ...] = ()
     ) -> None:
         self.path = path
-        self.openmp = openmp
         self.sanitizers = sanitizers
         self.fill_rows = lib.repro_fill_rows
         self.fill_rows.restype = ctypes.c_int64
-        self.fill_rows.argtypes = [
-            ctypes.POINTER(SweepContext),
-            ctypes.c_int64,
-            ctypes.c_int64,
-        ]
+        self.fill_rows.argtypes = (
+            [ctypes.c_int64] * 4  # n_toggles, refill_all, n, words
+            + [ctypes.c_void_p] * 18  # cand_ptr .. scratch
+        )
         self.theorem3_kernel = lib.repro_theorem3_kernel
         self.theorem3_kernel.restype = None
         self.theorem3_kernel.argtypes = [
@@ -176,17 +130,6 @@ class NativeKernels:
             ctypes.c_void_p,
             ctypes.c_void_p,
         ]
-        self.fill_threads = _fill_threads()
-
-
-def _fill_threads() -> int:
-    raw = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
 
 
 def _compiler() -> str | None:
@@ -209,7 +152,6 @@ def _cflags() -> list[str]:
 _SANITIZER_FLAGS: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address",),
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=undefined"),
-    "tsan": ("-fsanitize=thread",),
 }
 
 
@@ -225,11 +167,6 @@ def _sanitizers() -> tuple[str, ...]:
         raise NativeBuildError(
             f"REPRO_NATIVE_SANITIZE names unknown sanitizer(s) "
             f"{', '.join(unknown)}; known: {known}"
-        )
-    if "asan" in names and "tsan" in names:
-        raise NativeBuildError(
-            "REPRO_NATIVE_SANITIZE: asan and tsan cannot be combined "
-            "(their runtimes are mutually exclusive)"
         )
     return tuple(names)
 
@@ -280,38 +217,29 @@ def _build_key(
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _compile(cc: str, flags: list[str], output: Path) -> bool:
-    """Compile the kernel to ``output``; returns whether OpenMP was linked.
+def _compile(cc: str, flags: list[str], output: Path) -> None:
+    """Compile the kernel to ``output``.
 
-    The OpenMP variant is tried first and silently dropped when the
-    toolchain rejects ``-fopenmp`` — the parallel pragma compiles away and
-    fills run serially, with identical values.  Concurrent builders (e.g.
-    campaign workers on a cold cache) race benignly: each compiles to its
-    own temporary file and the ``os.replace`` into place is atomic.
+    Concurrent builders (e.g. campaign workers on a cold cache) race
+    benignly: each compiles to its own temporary file and the
+    ``os.replace`` into place is atomic.
     """
     output.parent.mkdir(parents=True, exist_ok=True)
-    base = ["-shared", "-fPIC", str(_SOURCE_PATH), "-lm"]
-    for openmp in (True, False):
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=output.parent)
-        os.close(fd)
-        cmd = [cc, *flags, *(["-fopenmp"] if openmp else []), *base, "-o", tmp]
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            os.unlink(tmp)
-            raise NativeBuildError(f"compiler invocation failed: {exc}") from exc
-        if proc.returncode == 0:
-            os.replace(tmp, output)
-            return openmp
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=output.parent)
+    os.close(fd)
+    cmd = [cc, *flags, "-shared", "-fPIC", str(_SOURCE_PATH), "-lm", "-o", tmp]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.TimeoutExpired) as exc:
         os.unlink(tmp)
-        if not openmp:
-            raise NativeBuildError(
-                f"compilation failed ({' '.join(cmd[:-2])}): "
-                f"{proc.stderr.strip()[:500]}"
-            )
-    raise NativeBuildError("unreachable")  # pragma: no cover
+        raise NativeBuildError(f"compiler invocation failed: {exc}") from exc
+    if proc.returncode != 0:
+        os.unlink(tmp)
+        raise NativeBuildError(
+            f"compilation failed ({' '.join(cmd[:-2])}): "
+            f"{proc.stderr.strip()[:500]}"
+        )
+    os.replace(tmp, output)
 
 
 def _build_and_load() -> NativeKernels:
@@ -329,13 +257,6 @@ def _build_and_load() -> NativeKernels:
         raise NativeBuildError(f"kernel source missing: {_SOURCE_PATH}")
     source = _SOURCE_PATH.read_bytes()
     sanitizers = _sanitizers()
-    if "tsan" in sanitizers:
-        raise NativeBuildError(
-            "REPRO_NATIVE_SANITIZE=tsan: a TSan-instrumented kernel cannot "
-            "be loaded into CPython (the TSan runtime must own the main "
-            "executable); ThreadSanitizer coverage of the OpenMP fill runs "
-            "through the standalone driver in tests/test_native_sanitize.py"
-        )
     if "asan" in sanitizers and not _asan_runtime_loaded():
         raise NativeBuildError(
             "REPRO_NATIVE_SANITIZE=asan requires the ASan runtime to be "
@@ -351,9 +272,8 @@ def _build_and_load() -> NativeKernels:
         cache = Path(tempfile.gettempdir()) / "repro-native"
     lib_path = cache / f"theorem3-{_build_key(cc, flags, source, sanitizers)}.so"
 
-    openmp = True  # unknown for cache hits; reprobed below via omp symbol
     if not lib_path.is_file():
-        openmp = _compile(cc, flags, lib_path)
+        _compile(cc, flags, lib_path)
     try:
         lib = ctypes.CDLL(str(lib_path))
     except OSError:
@@ -363,7 +283,7 @@ def _build_and_load() -> NativeKernels:
             lib_path.unlink()
         except OSError:
             pass
-        openmp = _compile(cc, flags, lib_path)
+        _compile(cc, flags, lib_path)
         try:
             lib = ctypes.CDLL(str(lib_path))
         except OSError as exc:
@@ -377,13 +297,6 @@ def _build_and_load() -> NativeKernels:
         raise NativeBuildError(
             f"cached kernel has ABI {int(abi())}, expected {_ABI_VERSION}"
         )
-    ctx_size = lib.repro_sweep_ctx_size
-    ctx_size.restype = ctypes.c_int64
-    if int(ctx_size()) != ctypes.sizeof(SweepContext):
-        raise NativeBuildError(
-            f"kernel sweep context is {int(ctx_size())} bytes, the ctypes "
-            f"mirror {ctypes.sizeof(SweepContext)}"
-        )
     selftest = lib.repro_native_selftest
     selftest.restype = ctypes.c_double
     error = float(selftest())
@@ -391,7 +304,7 @@ def _build_and_load() -> NativeKernels:
         raise NativeBuildError(
             f"kernel self-test failed (max transcendental error {error:g})"
         )
-    return NativeKernels(lib, lib_path, openmp, sanitizers)
+    return NativeKernels(lib, lib_path, sanitizers)
 
 
 def _probe() -> tuple[NativeKernels | None, str | None]:

@@ -374,8 +374,7 @@ class _InstanceTables:
         ancestors below ``k``).  A toggle at a position outside
         ``row_reach[k]`` provably cannot change row ``k``.  Python big-int
         bitsets keep this ``O(n * |E| / 64)``; one-shot evaluations skip it
-        entirely.  ``reach_words`` / ``desc_words`` are ``(n + 1, words)``
-        uint64 copies of ``row_reach`` / ``desc`` for the C fill.
+        entirely.
         """
         if self.row_reach is not None:
             return
@@ -403,10 +402,19 @@ class _InstanceTables:
             for s in succs[c]:
                 mask |= desc[s] | (1 << s)
             desc[c] = mask
-        self.desc_words = _word_matrix(desc, self.mask_bytes)
-        self.reach_words = _word_matrix(reach, self.mask_bytes)
         self.desc = desc
         self.row_reach = reach
+
+    def ensure_native_delta(self) -> None:
+        """Build ``desc_words`` / ``reach_words``: ``(n + 1, words)`` uint64
+        copies of ``desc`` / ``row_reach`` for the C fill."""
+        if self.reach_words is not None:
+            return
+        self.ensure_delta()
+        desc, reach = self.desc, self.row_reach
+        assert desc is not None and reach is not None
+        self.desc_words = _word_matrix(desc, self.mask_bytes)
+        self.reach_words = _word_matrix(reach, self.mask_bytes)
 
 
 def _instance_tables(workflow: Workflow, order: tuple[int, ...]) -> _InstanceTables:
@@ -623,54 +631,21 @@ class SweepState:
     def _init_native(self, tables: _InstanceTables) -> None:
         """Bind every array the two compiled calls read or write, once.
 
-        The fill reads one :class:`~repro.core.evaluator_native.SweepContext`
-        holding raw pointers; the kernel's arguments after ``(n, pivot)``
-        never change.  The state keeps every array it hands out a pointer
-        to, so none can be freed or replaced under the C code; the
-        ``desc`` / ``row_reach`` slots stay null until
-        :meth:`_ensure_delta_tables` fills them.
+        Both calls take their per-call arguments followed by a tuple bound
+        here; the state keeps every array it hands out a pointer to, so
+        none can be freed or replaced under the C code.
         """
-        from .evaluator_native import SweepContext
-
         n = self._n
-        words = self._mask_words
         tables.ensure_native_fill()
-        self._cand_ptr = tables.cand_ptr
-        self._cand_idx = tables.cand_idx
-        self._pred_ptr = tables.pred_ptr
-        self._pred_idx = tables.pred_idx
-        self._recovery_costs = tables.recovery_costs
-        self._base_charges = tables.charge_template
         self._checkpointed = np.zeros(n + 1, dtype=np.uint8)
         self._toggles = (ctypes.c_int64 * n)()
         self._rows_buf = np.empty(n, dtype=np.int64)
-        self._scratch = np.empty(4 * words, dtype=np.uint64)
+        self._scratch = np.empty(4 * self._mask_words, dtype=np.uint64)
         self._expected_times = np.zeros(n)
         self._values_buf = np.empty(n)
         self._desc_words: Any = None
         self._reach_words: Any = None
-        self._ctx = SweepContext(
-            n=n,
-            words=words,
-            threads=self._kernels.fill_threads,
-            cand_ptr=self._cand_ptr.ctypes.data,
-            cand_idx=self._cand_idx.ctypes.data,
-            pred_ptr=self._pred_ptr.ctypes.data,
-            pred_idx=self._pred_idx.ctypes.data,
-            base_charges=self._base_charges.ctypes.data,
-            recovery_costs=self._recovery_costs.ctypes.data,
-            raw_ckpt_costs=self._raw_ckpt_costs.ctypes.data,
-            toggles=ctypes.addressof(self._toggles),
-            checkpointed=self._checkpointed.ctypes.data,
-            ckpt_costs=self._ckpt_costs.ctypes.data,
-            charges=self._charge_bits.ctypes.data,
-            fwords=self._fwords.ctypes.data,
-            cwords=self._cwords.ctypes.data,
-            loss_t=self._loss_t.ctypes.data,
-            rows=self._rows_buf.ctypes.data,
-            scratch=self._scratch.ctypes.data,
-        )
-        self._ctx_ref = ctypes.byref(self._ctx)
+        self._bind_fill_args()
         self._kernel_args = (
             self._loss_t.ctypes.data,
             n + 1,
@@ -683,6 +658,41 @@ class SweepState:
             self._expected_times.ctypes.data,
             self._probs_buf.ctypes.data,
             self._values_buf.ctypes.data,
+        )
+
+    def _bind_fill_args(self) -> None:
+        """Bind the fill's arguments after ``(n_toggles, refill_all)``, in
+        the order of ``repro_fill_rows``.  ``desc`` / ``row_reach`` are null
+        until :meth:`_ensure_delta_tables` adopts them and binds again; a
+        first evaluation never reads them."""
+        tables = self._tables
+        # Held here, not only on the shared entry: a racing duplicate build
+        # of the entry may replace its arrays, which must not free one the
+        # C code still points at.
+        self._fill_tables = (
+            tables.cand_ptr,
+            tables.cand_idx,
+            tables.pred_ptr,
+            tables.pred_idx,
+            self._desc_words,
+            self._reach_words,
+            tables.charge_template,
+            tables.recovery_costs,
+            self._raw_ckpt_costs,
+        )
+        self._fill_args = (
+            self._n,
+            self._mask_words,
+            *(None if table is None else table.ctypes.data for table in self._fill_tables),
+            ctypes.addressof(self._toggles),
+            self._checkpointed.ctypes.data,
+            self._ckpt_costs.ctypes.data,
+            self._charge_bits.ctypes.data,
+            self._fwords.ctypes.data,
+            self._cwords.ctypes.data,
+            self._loss_t.ctypes.data,
+            self._rows_buf.ctypes.data,
+            self._scratch.ctypes.data,
         )
 
     # ------------------------------------------------------------------
@@ -789,7 +799,7 @@ class SweepState:
         # Wall-clock reads here (and in the kernel paths below) feed the
         # opt-in profiling stats only -- never a result or a cache key.
         began = time.perf_counter() if self._profile else 0.0  # reprolint: allow[RL003]
-        refilled = self._kernels.fill_rows(self._ctx_ref, count, refill_all)
+        refilled = self._kernels.fill_rows(count, refill_all, *self._fill_args)
         if self._profile:
             stats.fill_seconds += time.perf_counter() - began  # reprolint: allow[RL003]
         stats.rows_refilled += refilled
@@ -943,18 +953,19 @@ class SweepState:
         shared :class:`_InstanceTables` entry (see
         :meth:`_InstanceTables.ensure_delta`) and are adopted by every state
         that evaluates incrementally; one-shot evaluations skip them
-        entirely.  A native state adopts the word matrices and points its
-        sweep context at them.
+        entirely.  A native state adopts their word-matrix copies and binds
+        them into its fill arguments.
         """
         if self._row_reach is not None:
             return
         tables = self._tables
-        tables.ensure_delta()
         if self._kernels is not None:
+            tables.ensure_native_delta()
             self._desc_words = tables.desc_words
             self._reach_words = tables.reach_words
-            self._ctx.desc = self._desc_words.ctypes.data
-            self._ctx.row_reach = self._reach_words.ctypes.data
+            self._bind_fill_args()
+        else:
+            tables.ensure_delta()
         self._row_reach = tables.row_reach
         self._desc = tables.desc
 

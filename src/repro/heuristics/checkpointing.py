@@ -111,13 +111,7 @@ def checkpoint_by_descendant_weight(
     fail", i.e. whose downstream work is the largest).
     """
     count = _validate_count(workflow, count)
-    weights = [task.weight for task in workflow.tasks]
-    # The edges are sorted, so each task's successor weights are collected in
-    # ascending successor order and summed exactly as Workflow.outweight does.
-    successor_weights: list[list[float]] = [[] for _ in weights]
-    for source, target in workflow.edges:
-        successor_weights[source].append(weights[target])
-    outweights = [sum(ws) for ws in successor_weights]
+    outweights = workflow.outweights()
     ranked = sorted(range(len(outweights)), key=outweights.__getitem__, reverse=True)
     return frozenset(ranked[:count])
 

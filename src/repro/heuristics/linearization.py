@@ -31,11 +31,6 @@ __all__ = ["LINEARIZATION_STRATEGIES", "linearize", "linearize_all"]
 LINEARIZATION_STRATEGIES = ("DF", "BF", "RF")
 
 
-def _priorities(workflow: Workflow) -> list[float]:
-    """Outweight of every task (the DF/BF priority)."""
-    return [workflow.outweight(i) for i in range(workflow.n_tasks)]
-
-
 def _check_complete(order: list[int], workflow: Workflow) -> tuple[int, ...]:
     if len(order) != workflow.n_tasks:
         raise RuntimeError(
@@ -154,7 +149,7 @@ def linearize(
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         return _linearize_random(workflow, rng)
-    priorities = _priorities(workflow)
+    priorities = workflow.outweights()
     if strategy == "DF":
         return _linearize_depth_first(workflow, priorities)
     return _linearize_breadth_first(workflow, priorities)

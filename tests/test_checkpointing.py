@@ -153,7 +153,11 @@ def _frozen_by_cost(workflow, order, count):
 
 
 def _frozen_by_descendant_weight(workflow, order, count):
-    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-workflow.outweight(i), i))
+    # The outweight as Workflow.outweight first summed it, per task and call.
+    def outweight(i):
+        return sum(workflow.task(s).weight for s in workflow.successors(i))
+
+    ranked = sorted(range(workflow.n_tasks), key=lambda i: (-outweight(i), i))
     return frozenset(ranked[:count])
 
 

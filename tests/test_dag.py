@@ -140,6 +140,7 @@ class TestWeights:
         assert wf.outweight(0) == pytest.approx(2 + 3)
         assert wf.outweight(1) == pytest.approx(4)
         assert wf.outweight(3) == pytest.approx(0)
+        assert wf.outweights() == (2 + 3, 4, 0, 0)
 
     def test_descendant_weight(self):
         wf = build([1, 2, 3, 4], [(0, 1), (1, 2), (1, 3)])

@@ -299,44 +299,6 @@ class TestNativeMaskMaintenance:
         assert _counters(native_state.stats) == _counters(numpy_state.stats)
 
 
-class TestFillThreads:
-    def test_default_is_one_thread(self, monkeypatch):
-        from repro.core.evaluator_native import _fill_threads
-
-        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
-        assert _fill_threads() == 1
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
-        assert _fill_threads() == 3
-
-    def test_two_threads_match_one_bit_for_bit(self, monkeypatch):
-        """Fills of 128 rows or more go parallel with more than one thread;
-        rows are priced independently, so the sweep cannot tell."""
-        import numpy as np
-
-        from repro.core.evaluator_native import load_kernels
-        from repro.heuristics import checkpoint_by_weight, linearize
-
-        kernels = load_kernels()
-        workflow = _random_dag(200, seed=4)
-        order = linearize(workflow, "DF")
-        platform = Platform(processors=4, processor_failure_rate=2.5e-4, downtime=5.0)
-        sets = [checkpoint_by_weight(workflow, order, count) for count in range(0, 201, 8)]
-        sets += [sets[-1] - {order[3], order[40]}, sets[5] | {order[1]}]
-
-        def sweep(threads):
-            monkeypatch.setattr(kernels, "fill_threads", threads)
-            state = SweepState(workflow, order, platform, backend="native")
-            assert state._ctx.threads == threads
-            return [state.evaluate(s) for s in sets], state._loss_t.copy(), state.stats
-
-        one, loss_one, stats_one = sweep(1)
-        two, loss_two, stats_two = sweep(2)
-        assert one == two
-        assert np.array_equal(loss_one, loss_two)
-        assert _counters(stats_one) == _counters(stats_two)
-        assert stats_one.full_recomputes == 1 and stats_one.rows_refilled >= 200
-
-
 # ----------------------------------------------------------------------
 # `repro backends` CLI
 # ----------------------------------------------------------------------

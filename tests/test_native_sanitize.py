@@ -1,21 +1,15 @@
 """Sanitizer-hardened native kernel (``REPRO_NATIVE_SANITIZE``).
 
-Three layers of coverage:
+Two layers of coverage:
 
-* knob semantics — validation, the mutually-exclusive asan/tsan pair, the
-  object-cache key separating sanitized from plain builds, and the
-  refuse-up-front guards (dlopen of an ASan library without its runtime
-  preloaded *aborts the process*, so ``native_available()`` must say no
-  before trying);
+* knob semantics — validation, the object-cache key separating sanitized
+  from plain builds, and the refuse-up-front guard (dlopen of an ASan
+  library without its runtime preloaded *aborts the process*, so
+  ``native_available()`` must say no before trying);
 * in-process instrumented runs — the UBSan build loads via ctypes and must
   agree with the pure-Python reference (any UBSan diagnostic aborts, so
   agreement doubles as "no undefined behaviour on this instance"); the
-  ASan build does the same in a subprocess with the runtime preloaded;
-* the ThreadSanitizer pass — TSan's runtime cannot be injected into
-  CPython, so the OpenMP row fill is exercised by a standalone C driver
-  compiled against the real ``_theorem3.c`` with ``-fsanitize=thread``;
-  the driver also pins the determinism contract (threads=1 and threads=8
-  produce bit-identical output).
+  ASan build does the same in a subprocess with the runtime preloaded.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import evaluator_native as nat
 from repro.core.evaluator_native import (
     NativeBuildError,
     _build_key,
@@ -38,8 +31,6 @@ from repro.core.evaluator_native import (
     native_available,
     native_unavailable_reason,
 )
-
-SOURCE = Path(nat.__file__).with_name("_theorem3.c")
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="no C toolchain: native backend unavailable"
@@ -74,12 +65,6 @@ def test_sanitize_knob_rejects_unknown(monkeypatch):
         _sanitizers()
 
 
-def test_sanitize_knob_rejects_asan_tsan_combination(monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "tsan,asan")
-    with pytest.raises(NativeBuildError, match="cannot be combined"):
-        _sanitizers()
-
-
 def test_build_key_separates_sanitizer_sets():
     source = b"int x;"
     keys = {
@@ -104,13 +89,6 @@ def test_asan_refused_without_preloaded_runtime(fresh_probe):
     invalidate_probe_cache()
     assert not native_available()
     assert "LD_PRELOAD" in (native_unavailable_reason() or "")
-
-
-def test_tsan_refused_in_process(fresh_probe):
-    fresh_probe.setenv("REPRO_NATIVE_SANITIZE", "tsan")
-    invalidate_probe_cache()
-    assert not native_available()
-    assert "standalone driver" in (native_unavailable_reason() or "")
 
 
 # ----------------------------------------------------------------------
@@ -192,260 +170,3 @@ def test_asan_build_agrees_under_preload(fresh_probe, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "equivalence-ok ['asan']" in proc.stdout
     assert "ERROR: AddressSanitizer" not in proc.stderr
-
-
-# ----------------------------------------------------------------------
-# ThreadSanitizer: standalone driver over the OpenMP row fill
-# ----------------------------------------------------------------------
-#: A self-contained harness for ``repro_fill_rows``: every position past
-#: the first has position 1 and its two nearest positions below as direct
-#: predecessors, so every row k >= 2 has the n - k + 1 candidates k..n
-#: (most of them with a straddling predecessor list) and the fill is wide
-#: enough that the ``schedule(dynamic, 16)`` loop actually spreads rows
-#: across threads.  The driver builds the sweep context the way
-#: ``SweepState`` does, then makes two calls: a first evaluation with
-#: checkpoint toggles (every row refilled, masks derived from scratch) and
-#: an incremental one that toggles three positions, one of them back off
-#: (masks re-derived for the toggles and their descendants, rows chosen by
-#: reachability).  Both fills cover at least 128 rows, the threshold for
-#: going parallel.  ``loss_t`` starts out filled with a -1.0 sentinel, so
-#: ``entries=`` counts the slots written; the line also carries both
-#: calls' refilled-row counts and position-weighted checksums of
-#: ``loss_t``, the closure / frontier words and the checkpoint costs.  Any
-#: data race is TSan's to report.  The second call fills a copy of the
-#: first call's ``loss_t`` made by ``main``: libgomp is not instrumented,
-#: so TSan cannot see the barrier between two parallel regions and would
-#: report a worker of the second rewriting a slot a worker of the first
-#: wrote.
-_TSAN_DRIVER = textwrap.dedent(
-    """
-    #include <stdint.h>
-    #include <stdio.h>
-    #include <stdlib.h>
-    #include <string.h>
-
-    /* Field for field the repro_sweep_ctx of _theorem3.c. */
-    typedef struct {
-        int64_t n, words, threads;
-        const int64_t *cand_ptr, *cand_idx, *pred_ptr, *pred_idx;
-        const uint64_t *desc, *row_reach;
-        const double *base_charges, *recovery_costs, *raw_ckpt_costs;
-        const int64_t *toggles;
-        uint8_t *checkpointed;
-        double *ckpt_costs, *charges;
-        uint64_t *fwords, *cwords;
-        double *loss_t;
-        int64_t *rows;
-        uint64_t *scratch;
-    } repro_sweep_ctx;
-
-    int64_t repro_sweep_ctx_size(void);
-    int64_t repro_fill_rows(repro_sweep_ctx *ctx, int64_t n_toggles,
-                            int64_t refill_all);
-
-    enum { N = 150, WORDS = 3, N1 = N + 1 };
-
-    static void set_bit(uint64_t *mask, int64_t p) {
-        mask[p >> 6] |= 1ULL << (p & 63);
-    }
-
-    int main(int argc, char **argv) {
-        if (repro_sweep_ctx_size() != (int64_t)sizeof(repro_sweep_ctx)) {
-            fprintf(stderr, "sweep context layout mismatch\\n");
-            return 2;
-        }
-        int64_t threads = argc > 1 ? strtoll(argv[1], NULL, 10) : 1;
-
-        /* predecessors of position i >= 2: 1, i - 2, i - 1 (ascending,
-         * deduplicated) */
-        static int64_t pred_ptr[N + 2], pred_idx[3 * N];
-        int64_t pos = 0;
-        pred_ptr[0] = 0;
-        pred_ptr[1] = 0;
-        for (int64_t i = 1; i <= N; i++) {
-            pred_ptr[i] = pos;
-            if (i >= 2)
-                pred_idx[pos++] = 1;
-            if (i >= 4)
-                pred_idx[pos++] = i - 2;
-            if (i >= 3)
-                pred_idx[pos++] = i - 1;
-        }
-        pred_ptr[N + 1] = pos;
-
-        /* row k considers candidates i = k..N (every i >= 2 has position
-         * 1 below k); row 1 has none */
-        static int64_t cand_ptr[N + 3];
-        int64_t *cand_idx = malloc(sizeof(int64_t) * N * N1);
-        pos = 0;
-        cand_ptr[0] = 0;
-        cand_ptr[1] = 0;
-        for (int64_t k = 1; k <= N; k++) {
-            cand_ptr[k] = pos;
-            for (int64_t i = (k >= 2 ? k : N1); i <= N; i++)
-                cand_idx[pos++] = i;
-        }
-        cand_ptr[N + 1] = pos;
-        cand_ptr[N + 2] = pos;
-
-        /* ancestors, descendants and per-row reachability, as
-         * _InstanceTables.ensure_delta builds them */
-        static uint64_t anc[N1][WORDS], desc[N1][WORDS], reach[N1][WORDS];
-        for (int64_t i = 1; i <= N; i++)
-            for (int64_t q = pred_ptr[i]; q < pred_ptr[i + 1]; q++) {
-                int64_t j = pred_idx[q];
-                for (int w = 0; w < WORDS; w++)
-                    anc[i][w] |= anc[j][w];
-                set_bit(anc[i], j);
-            }
-        for (int64_t c = N; c >= 1; c--)
-            for (int64_t s = c + 1; s <= N; s++)
-                for (int64_t q = pred_ptr[s]; q < pred_ptr[s + 1]; q++)
-                    if (pred_idx[q] == c) {
-                        for (int w = 0; w < WORDS; w++)
-                            desc[c][w] |= desc[s][w];
-                        set_bit(desc[c], s);
-                    }
-        for (int64_t k = 1; k <= N; k++) {
-            for (int64_t t = cand_ptr[k]; t < cand_ptr[k + 1]; t++)
-                for (int w = 0; w < WORDS; w++)
-                    reach[k][w] |= anc[cand_idx[t]][w];
-            for (int64_t b = k; b < 64 * WORDS; b++)
-                reach[k][b >> 6] &= ~(1ULL << (b & 63));
-        }
-
-        static double base_charges[64 * WORDS], charges[64 * WORDS];
-        static double recovery[N1], raw_ckpt[N], ckpt[N];
-        for (int64_t p = 1; p <= N; p++) {
-            base_charges[p] = 0.5 * (double)(p + 1);
-            recovery[p] = 0.125 * (double)p;
-            raw_ckpt[p - 1] = 0.25 * (double)p;
-        }
-        memcpy(charges, base_charges, sizeof(charges));
-
-        static uint8_t checkpointed[N1];
-        static uint64_t fwords[N1][WORDS], cwords[N1][WORDS], scratch[4 * WORDS];
-        static int64_t rows[N], toggles[N];
-        size_t cells = (size_t)N1 * (size_t)N1;
-        double *loss_t = malloc(cells * sizeof(double));
-        for (size_t c = 0; c < cells; c++)
-            loss_t[c] = -1.0;
-
-        repro_sweep_ctx ctx = {
-            N, WORDS, threads,
-            cand_ptr, cand_idx, pred_ptr, pred_idx,
-            &desc[0][0], &reach[0][0],
-            base_charges, recovery, raw_ckpt,
-            toggles, checkpointed, ckpt, charges,
-            &fwords[0][0], &cwords[0][0], loss_t, rows, scratch,
-        };
-
-        const int64_t first[] = {5, 17, 64, 100};
-        memcpy(toggles, first, sizeof(first));
-        int64_t refilled_first = repro_fill_rows(&ctx, 4, 1);
-        double *loss_second = malloc(cells * sizeof(double));
-        memcpy(loss_second, loss_t, cells * sizeof(double));
-        free(loss_t);
-        loss_t = loss_second;
-        ctx.loss_t = loss_t;
-        const int64_t second[] = {3, 64, 130};
-        memcpy(toggles, second, sizeof(second));
-        int64_t refilled_second = repro_fill_rows(&ctx, 3, 0);
-
-        double checksum = 0.0, masks = 0.0, costs = 0.0;
-        int64_t entries = 0;
-        for (size_t c = 0; c < cells; c++) {
-            if (loss_t[c] != -1.0)
-                entries++;
-            checksum += loss_t[c] * (double)(c + 1);
-        }
-        for (int64_t p = 0; p <= N; p++)
-            for (int w = 0; w < WORDS; w++)
-                masks += (double)(p + 1) * (double)(w + 1)
-                         * (double)(__builtin_popcountll(fwords[p][w])
-                                    + 3 * __builtin_popcountll(cwords[p][w]));
-        for (int64_t p = 0; p < N; p++)
-            costs += ckpt[p] * (double)(p + 1);
-        printf("rows=%lld,%lld entries=%lld checksum=%.17g masks=%.17g "
-               "costs=%.17g\\n",
-               (long long)refilled_first, (long long)refilled_second,
-               (long long)entries, checksum, masks, costs);
-        free(cand_idx); free(loss_t);
-        return 0;
-    }
-    """
-)
-
-
-def _compile_tsan_driver(tmp_path: Path) -> Path | None:
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        return None
-    driver_c = tmp_path / "tsan_driver.c"
-    driver_c.write_text(_TSAN_DRIVER, encoding="utf-8")
-    binary = tmp_path / "tsan_driver"
-    proc = subprocess.run(
-        [
-            cc,
-            "-O1",
-            "-g",
-            "-fopenmp",
-            "-fsanitize=thread",
-            str(driver_c),
-            str(SOURCE),
-            "-lm",
-            "-o",
-            str(binary),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    if proc.returncode != 0:
-        return None  # toolchain lacks libtsan (or OpenMP): skip
-    return binary
-
-
-#: GCC's libgomp is not TSan-instrumented: the implicit barrier ending a
-#: parallel region is invisible to TSan, so the *driver main's* post-region
-#: reads of the output arrays are reported as racing with worker writes.
-#: Suppressing frames in ``main`` removes exactly that false positive —
-#: a real race inside the fill (worker vs worker, e.g. shared scratch or
-#: overlapping output slices) involves only ``repro_fill_rows._omp_fn`` /
-#: ``fill_one_row`` frames and still aborts the run.
-_TSAN_SUPPRESSIONS = "race:main\n"
-
-
-def test_tsan_openmp_fill_is_race_free_and_deterministic(tmp_path):
-    binary = _compile_tsan_driver(tmp_path)
-    if binary is None:
-        pytest.skip("toolchain cannot build with -fsanitize=thread -fopenmp")
-    suppressions = tmp_path / "tsan.supp"
-    suppressions.write_text(_TSAN_SUPPRESSIONS, encoding="utf-8")
-    outputs = {}
-    for threads in (1, 8):
-        proc = subprocess.run(
-            [str(binary), str(threads)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={
-                **os.environ,
-                "TSAN_OPTIONS": (
-                    f"suppressions={suppressions} halt_on_error=1"
-                ),
-            },
-        )
-        assert proc.returncode == 0, (
-            f"threads={threads}: rc={proc.returncode}\n{proc.stderr}"
-        )
-        assert "WARNING: ThreadSanitizer" not in proc.stderr, proc.stderr
-        outputs[threads] = proc.stdout.strip()
-    assert outputs[1] == outputs[8], (
-        "thread count changed the fill output — the rows-are-independent "
-        f"contract is broken: {outputs}"
-    )
-    # The first call refills all 150 rows, the second every row above the
-    # lowest toggle (3): 147.  Rows k >= 2 write one entry per candidate
-    # i = k..150: 150 * 149 / 2 in all.
-    assert outputs[1].startswith(f"rows=150,147 entries={150 * 149 // 2} "), outputs[1]
