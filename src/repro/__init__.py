@@ -36,7 +36,6 @@ from .core import (
     BACKEND_REGISTRY,
     Backend,
     BackendRegistry,
-    BackendSpec,
     CycleError,
     LostWork,
     MakespanEvaluation,
@@ -79,7 +78,6 @@ __all__ = [
     "BACKEND_REGISTRY",
     "Backend",
     "BackendRegistry",
-    "BackendSpec",
     "CycleError",
     "HEURISTIC_NAMES",
     "HeuristicResult",

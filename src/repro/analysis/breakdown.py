@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..core.evaluator import evaluate_schedule
 from ..core.platform import Platform
 from ..core.schedule import Schedule
+from ..core.sweep import SweepState
 
 __all__ = [
     "TaskBreakdown",
@@ -169,28 +170,20 @@ def checkpoint_utilities(
     candidates for removal (see
     :func:`repro.heuristics.refinement.local_search_checkpoints`).
     """
-    base = evaluate_schedule(schedule, platform, backend=backend).expected_makespan
-    # One incremental sweep over the shared linearization: each candidate set
-    # is the current one minus a single checkpoint, so consecutive candidates
-    # differ by two toggles.  Probing in descending *position* order makes
-    # the freshly dropped checkpoint the lower of the two, so each probe
+    # One incremental sweep over the shared linearization prices the base set,
+    # then each probe: the base set minus a single checkpoint, so consecutive
+    # probes differ by two toggles.  Probing in descending *position* order
+    # makes the freshly dropped checkpoint the lower of the two, so each probe
     # re-prices only the suffix behind it (the utilities are still returned
     # in ascending task-index order).
-    from ..core.sweep import batch_evaluate
-
+    sweep = SweepState(schedule.workflow, schedule.order, platform, backend=backend)
+    base = sweep.evaluate(schedule.checkpointed, keep_task_times=False).expected_makespan
     position = {task: pos for pos, task in enumerate(schedule.order)}
-    probed = sorted(schedule.checkpointed, key=lambda task: -position[task])
-    evaluations = batch_evaluate(
-        schedule.workflow,
-        schedule.order,
-        [schedule.checkpointed - {task_index} for task_index in probed],
-        platform,
-        backend=backend,
-        keep_task_times=False,
-    )
     without = {
-        task_index: evaluation.expected_makespan
-        for task_index, evaluation in zip(probed, evaluations)
+        task_index: sweep.evaluate(
+            schedule.checkpointed - {task_index}, keep_task_times=False
+        ).expected_makespan
+        for task_index in sorted(schedule.checkpointed, key=lambda task: -position[task])
     }
     return tuple(
         CheckpointUtility(

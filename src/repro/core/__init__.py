@@ -6,7 +6,7 @@ expectation of Equation (1), the lost-work arrays of Algorithm 1, and the
 polynomial-time expected-makespan evaluator of Theorem 3.
 """
 
-from .backend import BACKEND_REGISTRY, Backend, BackendRegistry, BackendSpec
+from .backend import BACKEND_REGISTRY, Backend, BackendRegistry
 from .dag import CycleError, Workflow, WorkflowStructure
 from .evaluator import MakespanEvaluation, evaluate_schedule, expected_makespan
 from .expectation import (
@@ -25,7 +25,6 @@ __all__ = [
     "BACKEND_REGISTRY",
     "Backend",
     "BackendRegistry",
-    "BackendSpec",
     "CycleError",
     "LostWork",
     "MakespanEvaluation",

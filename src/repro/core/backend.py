@@ -31,8 +31,7 @@ Backends are :class:`Backend` objects registered in a process-wide
 
 Selection rules, in decreasing precedence:
 
-1. an explicit ``backend="python"`` / ``"numpy"`` / ``"native"`` argument
-   (or a :class:`BackendSpec` carrying one);
+1. an explicit ``backend="python"`` / ``"numpy"`` / ``"native"`` argument;
 2. the ``REPRO_EVAL_BACKEND`` environment variable (consulted when the
    argument is omitted or ``"auto"``);
 3. ``"auto"`` — the highest-priority backend that is available and
@@ -54,11 +53,9 @@ that is *unavailable* on this machine raises a clear :class:`ValueError`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .evaluator import MakespanEvaluation
     from .evaluator_native import NativeKernels
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "BACKEND_REGISTRY",
     "Backend",
     "BackendRegistry",
-    "BackendSpec",
 ]
 
 #: Environment variable overriding the default backend choice.  It applies
@@ -142,37 +138,6 @@ class Backend:
         return None if self._sweep_kernels is None else self._sweep_kernels()
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One resolved backend request, threaded through the solver layers.
-
-    Carries the *backend name* every evaluation of a solve should use, plus
-    (optionally) a shared candidate-set ``evaluator`` that replaces the
-    private sweep of a checkpoint-count search — the only way to hand a
-    search a shared scorer (the campaign runner's groups use it, see
-    :class:`repro.runtime.runner.SharedSweepScorer`).
-
-    Solver entry points accept a :class:`BackendSpec` wherever they take
-    ``backend=``; plain strings and ``None`` work via :meth:`coerce`.  A
-    spec never enters a cache key.
-    """
-
-    backend: str | None = None
-    evaluator: Callable[[frozenset[int]], "MakespanEvaluation"] | None = None
-
-    @classmethod
-    def coerce(cls, value: "BackendSpec | str | None") -> "BackendSpec":
-        """Normalize a ``backend=`` argument (name, ``None`` or spec)."""
-        if isinstance(value, cls):
-            return value
-        if value is None or isinstance(value, str):
-            return cls(backend=value)
-        raise TypeError(
-            f"backend must be a backend name, None or BackendSpec, "
-            f"got {type(value).__name__}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -225,7 +190,7 @@ class BackendRegistry:
     # -- resolution -----------------------------------------------------
     def resolve(
         self,
-        spec: "BackendSpec | str | None" = None,
+        name: str | None = None,
         *,
         n_tasks: int | None = None,
         require: str = "evaluate",
@@ -234,12 +199,12 @@ class BackendRegistry:
 
         Parameters
         ----------
-        spec:
-            A backend name, ``None``, or a :class:`BackendSpec`.  ``None``
-            and ``"auto"`` defer to :data:`BACKEND_ENV_VAR`, then to the
-            automatic choice, which never depends on the instance size and
-            never picks the Python reference (see the module docstring for
-            the two small-instance corners where the reference is faster).
+        name:
+            A backend name or ``None``.  ``None`` and ``"auto"`` defer to
+            :data:`BACKEND_ENV_VAR`, then to the automatic choice, which
+            never depends on the instance size and never picks the Python
+            reference (see the module docstring for the two small-instance
+            corners where the reference is faster).
         n_tasks:
             Ignored: the choice does not depend on the instance size.  Kept
             only because the benchmark harness under ``perfbench/`` still
@@ -255,9 +220,6 @@ class BackendRegistry:
             For an unknown backend name, or when a named backend is not
             available on this machine (e.g. no C toolchain).
         """
-        if isinstance(spec, BackendSpec):
-            spec = spec.backend
-        name = spec
         if name is None or name == "auto":
             env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
             name = env if env and env != "auto" else "auto"

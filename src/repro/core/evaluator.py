@@ -37,9 +37,9 @@ paper's conservative :math:`O(n^4)` bound while producing the same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .backend import BACKEND_REGISTRY, BackendSpec
+from .backend import BACKEND_REGISTRY
 from .expectation import OVERFLOW_EXPONENT, expected_execution_time
 from .lost_work import LostWork, compute_lost_work
 from .platform import Platform
@@ -102,7 +102,7 @@ def evaluate_schedule(
     *,
     lost_work: LostWork | None = None,
     keep_probabilities: bool = False,
-    backend: str | BackendSpec | None = None,
+    backend: str | None = None,
 ) -> MakespanEvaluation:
     """Compute the expected makespan of ``schedule`` on ``platform``.
 
@@ -123,8 +123,7 @@ def evaluate_schedule(
         Python reference.
     backend:
         A registered backend name (``"auto"`` / ``"python"`` / ``"numpy"``
-        / ``"native"``), a :class:`~repro.core.backend.BackendSpec`, or
-        ``None`` for ``"auto"`` — see
+        / ``"native"``), or ``None`` for ``"auto"`` — see
         :meth:`repro.core.backend.BackendRegistry.resolve`.  The array
         backends evaluate through a fresh
         :class:`~repro.core.sweep.SweepState` (a sweep of length one), so a
@@ -152,10 +151,7 @@ def evaluate_schedule(
             from .sweep import SweepState
 
             state = SweepState(workflow, order, platform, backend=resolved.name)
-            return replace(
-                state.evaluate(schedule.checkpointed),
-                failure_free_makespan=schedule.failure_free_makespan,
-            )
+            return state.evaluate_schedule(schedule)
 
     weights = [workflow.task(t).weight for t in order]
     ckpt_costs = [

@@ -723,7 +723,8 @@ class SweepState:
 
         Returns the same :class:`~repro.core.evaluator.MakespanEvaluation`
         a fresh ``evaluate_schedule(..., backend=...)`` call would (for
-        ``expected_makespan`` and ``expected_task_times``: bit-for-bit).
+        ``expected_makespan`` and ``expected_task_times``: bit-for-bit;
+        :meth:`evaluate_schedule` returns the whole one-shot record).
         With ``keep_task_times=False`` the per-position vector is dropped so
         ranking sweeps retain O(1) floats per candidate.
         """
@@ -782,6 +783,17 @@ class SweepState:
         self._initialized = True
         self._poisoned = False
         return self._result(keep_task_times)
+
+    def evaluate_schedule(self, schedule: Schedule) -> MakespanEvaluation:
+        """Evaluate a schedule over this state's workflow and order, with
+        task times: exactly what the one-shot
+        :func:`~repro.core.evaluator.evaluate_schedule` returns on this
+        backend, ``failure_free_makespan`` included (the state sums the
+        checkpoint costs in position order, the schedule in task order)."""
+        return replace(
+            self.evaluate(schedule.checkpointed),
+            failure_free_makespan=schedule.failure_free_makespan,
+        )
 
     def _apply_native(self, toggled: list[int], pivot: int, refill_all: bool) -> None:
         """Toggle, re-derive masks, select rows and refill them in one C call.

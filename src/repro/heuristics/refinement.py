@@ -20,9 +20,11 @@ improve the expected makespan of the schedule they start from — properties the
 test-suite asserts.  They cost ``O(n)`` evaluator calls per step, so they are
 noticeably more expensive than the paper's heuristics; the ablation benchmark
 ``benchmarks/bench_refinement_ablation.py`` quantifies the accuracy/cost
-trade-off.  On the numpy backend the calls are served by one persistent
-:class:`~repro.core.sweep.SweepState`, so consecutive single-toggle probes
-only recompute the suffix of the instance they can actually change
+trade-off.  Both are one hill-climb whose every evaluation, the start and
+the final schedule included, is served by one
+:class:`~repro.core.sweep.SweepState`: on the array backends (numpy and
+native) consecutive single-toggle probes only recompute the suffix of the
+instance they can actually change
 (``benchmarks/bench_sweep_incremental.py`` measures the saving).
 """
 
@@ -32,9 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.backend import BackendSpec
 from ..core.dag import Workflow
-from ..core.evaluator import MakespanEvaluation, evaluate_schedule
+from ..core.evaluator import MakespanEvaluation
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from ..core.sweep import SweepState
@@ -97,11 +98,11 @@ def _best_single_change(
     current: frozenset[int],
     current_value: float,
     *,
-    allow_add: bool,
     allow_remove: bool,
     candidates: Sequence[int] | None,
 ) -> tuple[frozenset[int] | None, float, int]:
-    """Evaluate all single-checkpoint toggles; return the best improving one.
+    """Evaluate all single-checkpoint toggles (additions, and removals when
+    ``allow_remove``); return the best improving one.
 
     The toggles are probed through the shared :class:`SweepState`:
     consecutive probes differ by two checkpoints (revert the previous toggle,
@@ -121,8 +122,6 @@ def _best_single_change(
                 continue
             moves.append((position[task], current - {task}))
         else:
-            if not allow_add:
-                continue
             # Even a free checkpoint must be evaluated to know whether it
             # helps, so every allowed toggle enters the sweep.
             moves.append((position[task], current | {task}))
@@ -139,6 +138,53 @@ def _best_single_change(
     return best_set, best_value, len(moves)
 
 
+def _hill_climb(
+    schedule: Schedule,
+    platform: Platform,
+    *,
+    allow_remove: bool,
+    max_steps: int | None,
+    candidates: Sequence[int] | None,
+    backend: str | None,
+) -> RefinementResult:
+    """Apply the best improving single toggle until none helps or
+    ``max_steps`` moves were accepted, pricing everything on one sweep."""
+    workflow, order = schedule.workflow, schedule.order
+    # One sweep state serves every round: the probes of round r differ from
+    # the probes of round r-1 by a handful of toggles, so the incremental
+    # engine keeps reusing its prefixes across the whole climb.
+    sweep = SweepState(workflow, order, platform, backend=backend)
+    current = schedule.checkpointed
+    initial_value = sweep.evaluate(current, keep_task_times=False).expected_makespan
+    current_value = initial_value
+    steps = 0
+    total_evaluations = 1
+    limit = math.inf if max_steps is None else int(max_steps)
+    while steps < limit:
+        best_set, best_value, n_evals = _best_single_change(
+            sweep,
+            current,
+            current_value,
+            allow_remove=allow_remove,
+            candidates=candidates,
+        )
+        total_evaluations += n_evals
+        if best_set is None:
+            break
+        current = best_set
+        current_value = best_value
+        steps += 1
+
+    final = Schedule(workflow, order, current)
+    return RefinementResult(
+        schedule=final,
+        evaluation=sweep.evaluate_schedule(final),
+        initial_expected_makespan=initial_value,
+        steps=steps,
+        evaluations=total_evaluations,
+    )
+
+
 def greedy_checkpoint_selection(
     workflow: Workflow,
     order: Sequence[int],
@@ -146,13 +192,15 @@ def greedy_checkpoint_selection(
     *,
     max_checkpoints: int | None = None,
     candidates: Sequence[int] | None = None,
-    backend: "str | BackendSpec | None" = None,
+    backend: str | None = None,
 ) -> RefinementResult:
     """Greedy marginal-gain construction of a checkpoint set.
 
     Starting from the empty set, repeatedly add the checkpoint whose addition
     decreases the expected makespan the most; stop when no addition improves
-    the makespan or when ``max_checkpoints`` have been placed.
+    the makespan or when ``max_checkpoints`` have been placed.  This is
+    :func:`local_search_checkpoints` started from the empty set with
+    removals off.
 
     Parameters
     ----------
@@ -163,53 +211,20 @@ def greedy_checkpoint_selection(
     candidates:
         Optional subset of tasks allowed to be checkpointed.
     backend:
-        Backend name or :class:`~repro.core.backend.BackendSpec` for the
-        toggle sweeps (see
+        Backend name for the toggle sweep (see
         :meth:`repro.core.backend.BackendRegistry.resolve`).
 
     Returns
     -------
     RefinementResult
     """
-    backend = BackendSpec.coerce(backend).backend
-    order = tuple(order)
-    current: frozenset[int] = frozenset()
-    schedule = Schedule(workflow, order, current)
-    evaluation = evaluate_schedule(schedule, platform, backend=backend)
-    initial_value = evaluation.expected_makespan
-    current_value = initial_value
-    steps = 0
-    total_evaluations = 1
-
-    # One sweep state serves every round: the probes of round r differ from
-    # the probes of round r-1 by a handful of toggles, so the incremental
-    # engine keeps reusing its prefixes across the whole construction.
-    sweep = SweepState(workflow, order, platform, backend=backend)
-    budget = workflow.n_tasks if max_checkpoints is None else int(max_checkpoints)
-    while steps < budget:
-        best_set, best_value, n_evals = _best_single_change(
-            sweep,
-            current,
-            current_value,
-            allow_add=True,
-            allow_remove=False,
-            candidates=candidates,
-        )
-        total_evaluations += n_evals
-        if best_set is None:
-            break
-        current = best_set
-        current_value = best_value
-        steps += 1
-
-    schedule = Schedule(workflow, order, current)
-    evaluation = evaluate_schedule(schedule, platform, backend=backend)
-    return RefinementResult(
-        schedule=schedule,
-        evaluation=evaluation,
-        initial_expected_makespan=initial_value,
-        steps=steps,
-        evaluations=total_evaluations,
+    return _hill_climb(
+        Schedule(workflow, order, frozenset()),
+        platform,
+        allow_remove=False,
+        max_steps=max_checkpoints,
+        candidates=candidates,
+        backend=backend,
     )
 
 
@@ -219,7 +234,7 @@ def local_search_checkpoints(
     *,
     max_steps: int | None = None,
     candidates: Sequence[int] | None = None,
-    backend: "str | BackendSpec | None" = None,
+    backend: str | None = None,
 ) -> RefinementResult:
     """Hill-climb on the checkpoint set by single add/remove moves.
 
@@ -233,42 +248,13 @@ def local_search_checkpoints(
     RefinementResult
         Never worse than the input schedule.
     """
-    backend = BackendSpec.coerce(backend).backend
-    workflow = schedule.workflow
-    order = schedule.order
-    current = schedule.checkpointed
-    evaluation = evaluate_schedule(schedule, platform, backend=backend)
-    initial_value = evaluation.expected_makespan
-    current_value = initial_value
-    steps = 0
-    total_evaluations = 1
-    limit = math.inf if max_steps is None else int(max_steps)
-
-    sweep = SweepState(workflow, order, platform, backend=backend)
-    while steps < limit:
-        best_set, best_value, n_evals = _best_single_change(
-            sweep,
-            current,
-            current_value,
-            allow_add=True,
-            allow_remove=True,
-            candidates=candidates,
-        )
-        total_evaluations += n_evals
-        if best_set is None:
-            break
-        current = best_set
-        current_value = best_value
-        steps += 1
-
-    final = Schedule(workflow, order, current)
-    final_eval = evaluate_schedule(final, platform, backend=backend)
-    return RefinementResult(
-        schedule=final,
-        evaluation=final_eval,
-        initial_expected_makespan=initial_value,
-        steps=steps,
-        evaluations=total_evaluations,
+    return _hill_climb(
+        schedule,
+        platform,
+        allow_remove=True,
+        max_steps=max_steps,
+        candidates=candidates,
+        backend=backend,
     )
 
 
@@ -277,7 +263,7 @@ def refine_schedule(
     platform: Platform,
     *,
     max_steps: int | None = None,
-    backend: "str | BackendSpec | None" = None,
+    backend: str | None = None,
 ) -> Schedule:
     """Convenience wrapper returning only the locally improved schedule."""
     return local_search_checkpoints(

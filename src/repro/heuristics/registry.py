@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.backend import BackendSpec
 from ..core.dag import Workflow
-from ..core.evaluator import MakespanEvaluation, evaluate_schedule
+from ..core.evaluator import MakespanEvaluation
 from ..core.platform import Platform
 from ..core.schedule import Schedule
+from ..core.sweep import SweepState
 from .checkpointing import (
     CHECKPOINT_STRATEGIES,
     PARAMETERISED_STRATEGIES,
@@ -29,7 +29,7 @@ from .checkpointing import (
 )
 from ..core.hashing import stable_seed_words
 from .linearization import LINEARIZATION_STRATEGIES, linearize
-from .search import search_checkpoint_count
+from .search import instance_sweep, search_checkpoint_count
 
 __all__ = [
     "HEURISTIC_NAMES",
@@ -118,7 +118,8 @@ def solve_heuristic(
     *,
     rng: np.random.Generator | int | None = None,
     counts: "list[int] | tuple[int, ...] | None" = None,
-    backend: str | BackendSpec | None = None,
+    backend: str | None = None,
+    sweep: SweepState | None = None,
 ) -> HeuristicResult:
     """Run one named heuristic end to end.
 
@@ -140,25 +141,30 @@ def solve_heuristic(
         generator for a raw shared stream.
     counts:
         Candidate checkpoint counts for the parameterised strategies;
-        defaults to the paper's exhaustive ``1 .. n-1`` search.
+        defaults to every ``N`` in ``0 .. n`` (see
+        :func:`~repro.heuristics.search.search_checkpoint_count`).
     backend:
         Backend name (``"auto"`` / ``"python"`` / ``"numpy"`` /
-        ``"native"``) or :class:`~repro.core.backend.BackendSpec` used for
-        every schedule scoring; see
-        :meth:`repro.core.backend.BackendRegistry.resolve`.  A spec's
-        ``evaluator`` is forwarded to
-        :func:`~repro.heuristics.search.search_checkpoint_count`; the
-        search-free strategies ``CkptNvr`` / ``CkptAlws`` ignore it.
+        ``"native"``) of the :class:`~repro.core.sweep.SweepState` built
+        when no ``sweep`` is given; see
+        :meth:`repro.core.backend.BackendRegistry.resolve`.
+    sweep:
+        A :class:`~repro.core.sweep.SweepState` over this ``workflow``
+        object, the heuristic's linearization and ``platform`` (see
+        :func:`~repro.heuristics.search.instance_sweep`) on which every set
+        is priced; the campaign runner shares one across a group.  The
+        result's evaluation is the one-shot
+        :func:`~repro.core.evaluator.evaluate_schedule` of its schedule.
 
     Returns
     -------
     HeuristicResult
     """
-    spec = BackendSpec.coerce(backend)
     linearization, strategy = parse_heuristic_name(heuristic)
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         rng = heuristic_rng(int(rng), heuristic)
     order = linearize(workflow, linearization, rng=rng)
+    sweep = instance_sweep(workflow, order, platform, backend=backend, sweep=sweep)
 
     if strategy in ("CkptNvr", "CkptAlws"):
         selected = (
@@ -167,19 +173,18 @@ def solve_heuristic(
             else frozenset(range(workflow.n_tasks))
         )
         schedule = Schedule(workflow, order, selected)
-        evaluation = evaluate_schedule(schedule, platform, backend=spec.backend)
         return HeuristicResult(
             heuristic=heuristic,
             linearization=linearization,
             checkpoint_strategy=strategy,
             schedule=schedule,
-            evaluation=evaluation,
+            evaluation=sweep.evaluate_schedule(schedule),
             checkpoint_count=len(selected),
         )
 
     selector = get_selector(strategy)
     search = search_checkpoint_count(
-        workflow, order, platform, selector, counts=counts, backend=spec
+        workflow, order, platform, selector, counts=counts, sweep=sweep
     )
     return HeuristicResult(
         heuristic=heuristic,
@@ -198,7 +203,7 @@ def solve_all_heuristics(
     heuristics: "tuple[str, ...] | list[str] | None" = None,
     rng: np.random.Generator | int | None = None,
     counts: "list[int] | tuple[int, ...] | None" = None,
-    backend: str | BackendSpec | None = None,
+    backend: str | None = None,
 ) -> dict[str, HeuristicResult]:
     """Run several heuristics and return their results keyed by name.
 
@@ -236,7 +241,7 @@ def best_heuristic(
     heuristics: "tuple[str, ...] | list[str] | None" = None,
     rng: np.random.Generator | int | None = None,
     counts: "list[int] | tuple[int, ...] | None" = None,
-    backend: str | BackendSpec | None = None,
+    backend: str | None = None,
 ) -> HeuristicResult:
     """Run several heuristics and return the one with the lowest expected makespan."""
     results = solve_all_heuristics(

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..core.backend import BackendSpec
 from ..core.dag import Workflow
-from ..core.evaluator import MakespanEvaluation, evaluate_schedule
+from ..core.evaluator import MakespanEvaluation
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from ..core.sweep import SweepState
@@ -105,6 +104,36 @@ def candidate_counts(
     return tuple(sorted(values))
 
 
+def instance_sweep(
+    workflow: Workflow,
+    order: Sequence[int],
+    platform: Platform,
+    *,
+    backend: str | None = None,
+    sweep: SweepState | None = None,
+) -> SweepState:
+    """``sweep``, checked against the instance, or a fresh
+    :class:`~repro.core.sweep.SweepState` on ``backend``.
+
+    Raises :class:`ValueError` for a sweep over another workflow object,
+    linearization or platform, or for one passed with ``backend=``.
+    """
+    if sweep is None:
+        return SweepState(workflow, order, platform, backend=backend)
+    if backend is not None:
+        raise ValueError("pass backend= or sweep=, not both: a sweep fixes its backend")
+    if (
+        sweep.workflow is not workflow
+        or sweep.order != tuple(order)
+        or sweep.platform != platform
+    ):
+        raise ValueError(
+            "sweep was built for another workflow, linearization or platform "
+            "than this solve"
+        )
+    return sweep
+
+
 def search_checkpoint_count(
     workflow: Workflow,
     order: Sequence[int],
@@ -113,7 +142,8 @@ def search_checkpoint_count(
     *,
     counts: Iterable[int] | None = None,
     include_zero: bool = True,
-    backend: str | BackendSpec | None = None,
+    backend: str | None = None,
+    sweep: SweepState | None = None,
 ) -> CheckpointCountSearch:
     """Find the checkpoint count minimising the expected makespan.
 
@@ -124,42 +154,32 @@ def search_checkpoint_count(
     selector:
         A parameterised checkpoint selector ``(workflow, order, N) -> set``.
     counts:
-        Candidate values of ``N``; defaults to the exhaustive ``1 .. n-1``.
+        Candidate values of ``N``; defaults to every ``N`` in ``0 .. n``
+        (the exhaustive :func:`candidate_counts`, plus 0 by
+        ``include_zero``).
     include_zero:
         Also evaluate the empty checkpoint set (``N = 0``).  The paper's search
         runs over ``1 .. n-1`` only, but including 0 makes the heuristics
         degrade gracefully on failure-free platforms; it adds a single extra
         evaluation.
     backend:
-        Backend name or :class:`~repro.core.backend.BackendSpec` for the
-        :class:`~repro.core.sweep.SweepState` that scores all distinct
-        candidate sets over the shared linearization in one incremental
-        sweep (the selectors' top-``N`` sets are nested, so consecutive
-        candidates differ by single checkpoint additions and only the
-        invalidated suffix is recomputed).  A spec's ``evaluator``, a
-        callable ``frozenset -> MakespanEvaluation`` scoring a checkpoint
-        set over *this* instance and linearization, replaces the private
-        sweep: the campaign runner passes one
-        :class:`~repro.runtime.runner.SharedSweepScorer` to every search of
-        a group, so they ride a single :class:`~repro.core.sweep.SweepState`
-        (sweep evaluations are order-independent, so sharing cannot change
-        any value).  When the callable exposes an ``order`` attribute it
-        must match this search's linearization.
+        Backend name of the :class:`~repro.core.sweep.SweepState` built when
+        no ``sweep`` is given; see
+        :meth:`repro.core.backend.BackendRegistry.resolve`.
+    sweep:
+        A :class:`~repro.core.sweep.SweepState` over this ``workflow``
+        object, ``order`` and ``platform`` (see :func:`instance_sweep`);
+        the campaign runner shares one across a group.  Every distinct
+        candidate is priced on it without task times, then the winner with
+        them: exactly the one-shot
+        :func:`~repro.core.evaluator.evaluate_schedule` result.
 
     Returns
     -------
     CheckpointCountSearch
     """
-    spec = BackendSpec.coerce(backend)
-    evaluator, backend = spec.evaluator, spec.backend
     order = tuple(order)
-    if evaluator is not None:
-        evaluator_order = getattr(evaluator, "order", None)
-        if evaluator_order is not None and tuple(evaluator_order) != order:
-            raise ValueError(
-                "shared evaluator was built for a different linearization "
-                "than this search's order"
-            )
+    sweep = instance_sweep(workflow, order, platform, backend=backend, sweep=sweep)
     if counts is None:
         counts = candidate_counts(workflow.n_tasks, mode="exhaustive")
     counts = [int(c) for c in counts]
@@ -182,13 +202,9 @@ def search_checkpoint_count(
         selected_sets.append(selected)
         if selected not in distinct:
             distinct[selected] = len(distinct)
-    if evaluator is None:
-        sweep = SweepState(workflow, order, platform, backend=backend)
-        evaluations = [
-            sweep.evaluate(selected, keep_task_times=False) for selected in distinct
-        ]
-    else:
-        evaluations = [evaluator(selected) for selected in distinct]
+    evaluations = [
+        sweep.evaluate(selected, keep_task_times=False) for selected in distinct
+    ]
 
     best_selected: frozenset[int] | None = None
     best_count = -1
@@ -210,14 +226,9 @@ def search_checkpoint_count(
     if best_selected is None:
         raise ValueError("no candidate checkpoint count was evaluated")
     best_schedule = Schedule(workflow, order, best_selected)
-    # One extra evaluation restores the winner's full per-position vector
-    # (deterministic: it reproduces the batch value exactly).
-    best_eval: MakespanEvaluation = evaluate_schedule(
-        best_schedule, platform, backend=backend
-    )
     return CheckpointCountSearch(
         best_schedule=best_schedule,
-        best_evaluation=best_eval,
+        best_evaluation=sweep.evaluate_schedule(best_schedule),
         best_count=best_count,
         evaluated=evaluated,
     )

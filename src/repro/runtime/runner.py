@@ -13,15 +13,14 @@ same two steps:
   :func:`~repro.runtime.keys.scenario_unit_key`), fixes its candidate
   counts and names its *group*: units of one instance and linearization
   share a sweep;
-* :func:`solve_group` computes one group: the count searches of its units
-  price their candidate sets through one :class:`SharedSweepScorer`, i.e.
-  one :class:`~repro.core.sweep.SweepState` pass instead of one per unit.
+* :func:`solve_group` computes one group: its units price every set (the
+  candidates of their count searches, their winners and the CkptNvr /
+  CkptAlws sets) on one :class:`~repro.core.sweep.SweepState` instead of
+  one per unit.
 
 Sharing a sweep cannot change any value: sweep evaluations are
-order-independent, the scorer memoises by exact checkpoint set, and each
-search re-evaluates its winner through the plain evaluator — so every
-outcome is bit-for-bit the direct
-:func:`~repro.heuristics.registry.solve_heuristic` result.
+order-independent and equal one-shots bit for bit, so every outcome is
+the direct :func:`~repro.heuristics.registry.solve_heuristic` result.
 
 :class:`CampaignRunner` answers units from its journal and the
 :class:`~repro.runtime.cache.ResultCache` without any evaluator call (only
@@ -45,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
-from ..core.backend import BACKEND_REGISTRY, BackendSpec
+from ..core.backend import BACKEND_REGISTRY
 from ..core.evaluator import MakespanEvaluation, evaluate_schedule
 from ..core.dag import Workflow
 from ..core.hashing import stable_seed_words
@@ -79,7 +78,6 @@ __all__ = [
     "UnitFailure",
     "PlannedUnit",
     "SolvedGroup",
-    "SharedSweepScorer",
     "CampaignRunner",
     "expand_work_units",
     "plan_unit",
@@ -191,44 +189,8 @@ class SolvedGroup:
     schedules: list[dict[str, list[int]]]
     #: Wall time of each unit's own ``solve_heuristic`` call.
     seconds: list[float]
-    #: Sweep passes the group ran (0 or 1), and the distinct sets they priced.
-    sweep_passes: int
+    #: Evaluations made on the group's one sweep.
     evaluations: int
-
-
-class SharedSweepScorer:
-    """One incremental sweep shared by the count searches of a group.
-
-    Wraps a :class:`~repro.core.sweep.SweepState` over one (workflow,
-    linearization, platform) and memoises evaluations by exact checkpoint
-    set, so the searches of one group cost one sweep pass and each
-    *distinct* candidate set is priced exactly once.  ``order`` is exposed
-    so :func:`~repro.heuristics.search.search_checkpoint_count` can verify
-    the scorer matches its linearization.
-    """
-
-    def __init__(
-        self,
-        workflow: Workflow,
-        order: Sequence[int],
-        platform: Platform,
-        *,
-        backend: str | None = None,
-    ) -> None:
-        self.order = tuple(order)
-        self._sweep = SweepState(workflow, self.order, platform, backend=backend)
-        self._memo: dict[frozenset[int], MakespanEvaluation] = {}
-        #: Underlying sweep evaluations (memo misses) performed so far.
-        self.evaluations = 0
-
-    def __call__(self, selected: frozenset[int]) -> MakespanEvaluation:
-        selected = frozenset(selected)
-        evaluation = self._memo.get(selected)
-        if evaluation is None:
-            evaluation = self._sweep.evaluate(selected, keep_task_times=False)
-            self._memo[selected] = evaluation
-            self.evaluations += 1
-        return evaluation
 
 
 # Per-process memo of generated workflow instances (and their content
@@ -328,26 +290,24 @@ def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
     """Solve one group of planned units (module-level, hence picklable).
 
     The units share workflow content, platform, linearization and backend
-    (see :func:`plan_unit`), so every count search among them prices its
-    candidate sets through one :class:`SharedSweepScorer`.
+    (see :func:`plan_unit`), so every unit prices its sets on one
+    :class:`~repro.core.sweep.SweepState`, built for the first unit.
     """
     first = plans[0].unit
     workflow, _ = _memoized_instance(first.scenario)
     platform = first.scenario.platform
-    scorer: SharedSweepScorer | None = None
+    linearization, _ = parse_heuristic_name(first.heuristic)
+    order = linearize(
+        workflow,
+        linearization,
+        rng=heuristic_rng(first.scenario.seed, first.heuristic),
+    )
+    sweep = SweepState(workflow, order, platform, backend=first.backend)
     outcomes: list[dict[str, Any]] = []
     schedules: list[dict[str, list[int]]] = []
     seconds: list[float] = []
     for plan in plans:
         unit = plan.unit
-        if plan.counts is not None and scorer is None:
-            linearization, _ = parse_heuristic_name(unit.heuristic)
-            order = linearize(
-                workflow,
-                linearization,
-                rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
-            )
-            scorer = SharedSweepScorer(workflow, order, platform, backend=unit.backend)
         start = time.perf_counter()
         result = solve_heuristic(
             workflow,
@@ -355,7 +315,7 @@ def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
             unit.heuristic,
             rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
             counts=plan.counts,
-            backend=BackendSpec(backend=unit.backend, evaluator=scorer),
+            sweep=sweep,
         )
         seconds.append(time.perf_counter() - start)
         # The wall-clock time stays out of the outcome: it describes the
@@ -380,8 +340,7 @@ def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
         outcomes=outcomes,
         schedules=schedules,
         seconds=seconds,
-        sweep_passes=0 if scorer is None else 1,
-        evaluations=0 if scorer is None else scorer.evaluations,
+        evaluations=sweep.stats.evaluations,
     )
 
 

@@ -450,7 +450,7 @@ def build_service_registry(
     )
     registry.counter(
         "repro_solve_evaluations_total",
-        "Distinct checkpoint-set evaluations performed by the planner's sweeps.",
+        "Sweep evaluations performed by the planner's solves.",
     )
     registry.counter("repro_solve_batches_total", "Request batches dispatched.")
     registry.counter(

@@ -292,7 +292,8 @@ class ServicePlanner:
                     results[index] = solved
                     self._resolve_inflight(plan.key, error=solved)
                 continue
-            self._inc("repro_solve_sweep_passes_total", solved.sweep_passes)
+            # A computed group made one sweep pass.
+            self._inc("repro_solve_sweep_passes_total")
             self._inc("repro_solve_evaluations_total", solved.evaluations)
             self._inc("repro_solve_computed_total", len(indices))
             for index, plan, outcome, schedule in zip(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Platform, Schedule, Task, Workflow
+from repro.core.evaluator_native import native_available
 from repro.workflows import generators
 
 
@@ -74,3 +75,20 @@ def make_workflow(weights, edges, *, ckpt_factor: float = 0.1) -> Workflow:
 def make_adhoc_workflow():
     """Factory fixture exposing :func:`make_workflow`."""
     return make_workflow
+
+
+@pytest.fixture(
+    params=[
+        "python",
+        "numpy",
+        pytest.param(
+            "native",
+            marks=pytest.mark.skipif(
+                not native_available(), reason="no C toolchain: native backend unavailable"
+            ),
+        ),
+    ]
+)
+def available_backend(request) -> str:
+    """Each evaluation backend in turn (native is skipped without a C toolchain)."""
+    return request.param

@@ -102,6 +102,31 @@ class TestCheckpointUtilities:
         wf = generators.chain_workflow(3, seed=1).with_checkpoint_costs(mode="proportional", factor=0.1)
         assert checkpoint_utilities(Schedule(wf, range(3), ()), platform) == ()
 
+    @pytest.mark.parametrize("family", ["montage", "ligo", "cybershake", "genome"])
+    def test_values_are_the_one_shots(self, available_backend, family):
+        """The base set and the probes share one sweep; each value must still
+        be the one-shot makespan of its set, bit for bit."""
+        wf = pegasus.generate(family, 30, seed=4).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        order = tuple(wf.topological_order())
+        schedule = Schedule(wf, order, set(order[1::4]))
+        for platform in (
+            Platform.from_platform_rate(0.0),
+            Platform.from_platform_rate(2e-3),
+            Platform.from_platform_rate(2e-3, downtime=30.0),
+        ):
+
+            def one_shot(s):
+                return evaluate_schedule(s, platform, backend=available_backend).expected_makespan
+
+            for utility in checkpoint_utilities(schedule, platform, backend=available_backend):
+                without = schedule.checkpointed - {utility.task_index}
+                assert utility.expected_makespan_with == one_shot(schedule)
+                assert utility.expected_makespan_without == one_shot(
+                    schedule.with_checkpoints(without)
+                )
+
 
 class TestCompareSchedules:
     def test_ranks_schedules(self, platform):

@@ -1,9 +1,8 @@
 """Unit tests for the pluggable backend registry (:mod:`repro.core.backend`).
 
 These cover the registry mechanics themselves — registration, capability-
-aware resolution, environment overrides, availability errors, and the
-``BackendSpec`` coercion contract — independently of any numerical
-equivalence (which :mod:`tests.test_backend_equivalence` and
+aware resolution, environment overrides and availability errors —
+independently of any numerical equivalence (which :mod:`tests.test_backend_equivalence` and
 :mod:`tests.test_native_backend` pin).
 """
 
@@ -22,7 +21,6 @@ from repro.core.backend import (
     BACKEND_REGISTRY,
     Backend,
     BackendRegistry,
-    BackendSpec,
 )
 
 
@@ -149,11 +147,6 @@ class TestResolution:
         monkeypatch.setenv(BACKEND_ENV_VAR, "AUTO")
         assert registry.resolve(None).name == "fast"
 
-    def test_spec_resolves_like_its_name(self):
-        registry = _registry_with(_backend("one"))
-        assert registry.resolve(BackendSpec(backend="one")).name == "one"
-        assert registry.resolve(BackendSpec()).name == "one"
-
     def test_describe_rows(self):
         registry = _registry_with(
             _backend("ok", priority=5),
@@ -170,28 +163,6 @@ class TestResolution:
         assert "unavailable_reason" not in rows["ok"]
         assert rows["broken"]["available"] is False
         assert rows["broken"]["unavailable_reason"] == "why not"
-
-
-class TestBackendSpec:
-    def test_coerce_none(self):
-        spec = BackendSpec.coerce(None)
-        assert spec.backend is None and spec.evaluator is None
-
-    def test_coerce_name(self):
-        assert BackendSpec.coerce("numpy").backend == "numpy"
-
-    def test_coerce_spec_is_identity(self):
-        spec = BackendSpec(backend="numpy", evaluator=len)
-        assert BackendSpec.coerce(spec) is spec
-
-    def test_coerce_rejects_other_types(self):
-        with pytest.raises(TypeError, match="BackendSpec"):
-            BackendSpec.coerce(42)
-
-    def test_frozen(self):
-        spec = BackendSpec(backend="numpy")
-        with pytest.raises(AttributeError):
-            spec.backend = "python"
 
 
 class TestGlobalRegistry:

@@ -181,3 +181,33 @@ class TestEvaluationAccounting:
         }
         assert local["python"].evaluations == local["numpy"].evaluations
         assert local["python"].steps == local["numpy"].steps
+
+
+class TestEvaluationIsTheOneShot:
+    """The start and final evaluations come from the climb's sweep; they must
+    equal the one-shot evaluations of the start and final schedules."""
+
+    @pytest.mark.parametrize("family", ["montage", "ligo", "cybershake", "genome"])
+    def test_greedy_and_local_search(self, available_backend, family):
+        workflow = pegasus.generate(family, 16, seed=2).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        order = linearize(workflow, "DF")
+        for platform in (
+            Platform.from_platform_rate(0.0),
+            Platform.from_platform_rate(2e-3),
+            Platform.from_platform_rate(2e-3, downtime=30.0),
+        ):
+            empty = Schedule(workflow, order, ())
+            start = Schedule(workflow, order, set(order[::3]))
+            greedy = greedy_checkpoint_selection(
+                workflow, order, platform, backend=available_backend
+            )
+            local = local_search_checkpoints(start, platform, backend=available_backend)
+            for result, begin in ((greedy, empty), (local, start)):
+                assert result.evaluation == evaluate_schedule(
+                    result.schedule, platform, backend=available_backend
+                ), platform
+                assert result.initial_expected_makespan == evaluate_schedule(
+                    begin, platform, backend=available_backend
+                ).expected_makespan

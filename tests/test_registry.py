@@ -4,9 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HEURISTIC_NAMES, Platform, evaluate_schedule, solve_all_heuristics, solve_heuristic
-from repro.heuristics import best_heuristic, parse_heuristic_name
+from repro import (
+    HEURISTIC_NAMES,
+    Platform,
+    SweepState,
+    evaluate_schedule,
+    solve_all_heuristics,
+    solve_heuristic,
+)
+from repro.heuristics import best_heuristic, linearize, parse_heuristic_name
 from repro.workflows import pegasus
+
+#: lambda = 0, then lambda > 0 without and with a downtime.
+PLATFORMS = (
+    Platform.from_platform_rate(0.0),
+    Platform.from_platform_rate(1e-3),
+    Platform.from_platform_rate(1e-3, downtime=30.0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +126,62 @@ class TestSolveAll:
         assert best.expected_makespan == pytest.approx(
             min(r.expected_makespan for r in results.values())
         )
+
+
+class TestEvaluationIsTheOneShot:
+    """A solve prices its schedule on the sweep that ranked its candidates;
+    the whole evaluation, task times and ``failure_free_makespan``
+    included, must still be the one-shot evaluation of that schedule."""
+
+    @pytest.mark.parametrize("family", ["montage", "ligo", "cybershake", "genome"])
+    def test_every_heuristic(self, available_backend, family):
+        workflow = pegasus.generate(family, 16, seed=3).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        for platform in PLATFORMS:
+            for name in HEURISTIC_NAMES:
+                result = solve_heuristic(workflow, platform, name, rng=5, backend=available_backend)
+                assert result.evaluation == evaluate_schedule(
+                    result.schedule, platform, backend=available_backend
+                ), (name, platform)
+
+
+class TestSweepGuard:
+    """A passed sweep must be over the solve's own instance and linearization."""
+
+    @pytest.fixture(params=["DF-CkptW", "DF-CkptNvr"])
+    def heuristic(self, request):
+        return request.param
+
+    def test_matching_sweep_gives_the_plain_result(self, workflow, platform, heuristic):
+        sweep = SweepState(workflow, linearize(workflow, "DF"), platform)
+        shared = solve_heuristic(workflow, platform, heuristic, sweep=sweep)
+        assert shared == solve_heuristic(workflow, platform, heuristic)
+        assert sweep.stats.evaluations > 0
+
+    def test_rejects_another_order(self, workflow, platform, heuristic):
+        order = linearize(workflow, "BF")
+        assert order != linearize(workflow, "DF")
+        sweep = SweepState(workflow, order, platform)
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
+
+    def test_rejects_another_platform(self, workflow, platform, heuristic):
+        other = Platform.from_platform_rate(2e-3)
+        sweep = SweepState(workflow, linearize(workflow, "DF"), other)
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
+
+    def test_rejects_another_workflow_object(self, workflow, platform, heuristic):
+        twin = pegasus.cybershake(30, seed=11).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        assert twin is not workflow
+        sweep = SweepState(twin, linearize(twin, "DF"), platform)
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
+
+    def test_rejects_backend_with_sweep(self, workflow, platform, heuristic):
+        sweep = SweepState(workflow, linearize(workflow, "DF"), platform, backend="numpy")
+        with pytest.raises(ValueError, match="not both"):
+            solve_heuristic(workflow, platform, heuristic, backend="numpy", sweep=sweep)

@@ -9,13 +9,16 @@ These are the acceptance tests of the runtime subsystem:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 
 import pytest
 
 from repro.core.evaluator import evaluate_schedule
+from repro.core.evaluator_native import native_available
 from repro.core.platform import Platform
 from repro.core.schedule import Schedule
+from repro.core.sweep import SweepState
 from repro.experiments import Scenario, run_campaign, run_grid
 from repro.experiments.scenarios import build_workflow
 from repro.heuristics import HEURISTIC_NAMES, linearize, solve_heuristic
@@ -23,8 +26,11 @@ from repro.heuristics.search import candidate_counts
 from repro.runtime import NullProgress, ResultCache
 from repro.runtime.runner import (
     CampaignRunner,
+    WorkUnit,
     evaluate_schedule_cached,
     expand_work_units,
+    plan_unit,
+    solve_group,
 )
 from repro.workflows import pegasus
 
@@ -176,6 +182,61 @@ class TestParallelMatchesSerial:
                             direct.evaluation.failure_free_work,
                             direct.overhead_ratio,
                         ), (mode, scenario.n_tasks, seed, heuristic)
+
+
+class TestOneSweepPerGroup:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native_available(),
+                    reason="no C toolchain: native backend unavailable",
+                ),
+            ),
+        ],
+    )
+    def test_df_group_builds_one_sweep_and_no_one_shot(self, backend, monkeypatch):
+        """The six DF units of an instance form one group; the four searches
+        and both baselines price every set, winners included, on one
+        sweep."""
+        scenario = Scenario(
+            family="montage", n_tasks=20, failure_rate=1e-3, label="one-sweep"
+        )
+        names = [name for name in HEURISTIC_NAMES if name.startswith("DF-")]
+        plans = [
+            plan_unit(WorkUnit(scenario=scenario, heuristic=name, backend=backend))
+            for name in names
+        ]
+        assert len(plans) == 6 and len({plan.group for plan in plans}) == 1
+
+        built: list[SweepState] = []
+        real_init = SweepState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepState, "__init__", counting_init)
+        one_shots = []
+
+        def counting_evaluate(*args, **kwargs):
+            one_shots.append(args)
+            return evaluate_schedule(*args, **kwargs)
+
+        # Every module that imported the one-shot by name.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "evaluate_schedule", None) is evaluate_schedule
+            ):
+                monkeypatch.setattr(module, "evaluate_schedule", counting_evaluate)
+
+        solved = solve_group(plans)
+        assert len(built) == 1
+        assert one_shots == []
+        assert solved.evaluations == built[0].stats.evaluations > len(plans)
 
 
 class TestCaching:

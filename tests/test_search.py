@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Platform, Schedule, evaluate_schedule
+from repro import Platform, Schedule, SweepState, evaluate_schedule
 from repro.heuristics import (
     candidate_counts,
     checkpoint_by_weight,
     linearize,
     search_checkpoint_count,
 )
-from repro.workflows import generators
+from repro.workflows import generators, pegasus
 
 
 @pytest.fixture
@@ -142,3 +142,57 @@ class TestIncrementalAccounting:
         for count, value in python.evaluated.items():
             assert abs(value - numpy_.evaluated[count]) <= 1e-9 * max(1.0, abs(value))
         assert python.best_count == numpy_.best_count
+
+
+class TestSweepGuard:
+    """A search prices everything on the sweep it is given, which must be
+    over its own workflow object, order and platform."""
+
+    @pytest.fixture
+    def instance(self):
+        wf = pegasus.montage(20, seed=1).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        return wf, linearize(wf, "DF"), Platform.from_platform_rate(1e-3)
+
+    def test_candidates_and_winner_priced_on_the_passed_sweep(self, instance):
+        wf, order, platform = instance
+        sweep = SweepState(wf, order, platform)
+        search = search_checkpoint_count(
+            wf, order, platform, checkpoint_by_weight, sweep=sweep
+        )
+        assert search == search_checkpoint_count(wf, order, platform, checkpoint_by_weight)
+        # The n + 1 nested sets of N = 0 .. n, then the winner with task times.
+        assert sweep.stats.evaluations == wf.n_tasks + 2
+        assert search.best_evaluation == evaluate_schedule(search.best_schedule, platform)
+
+    def test_rejects_another_order(self, instance):
+        wf, order, platform = instance
+        other = linearize(wf, "BF")
+        assert other != order
+        sweep = SweepState(wf, other, platform)
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            search_checkpoint_count(wf, order, platform, checkpoint_by_weight, sweep=sweep)
+
+    def test_rejects_another_platform(self, instance):
+        wf, order, platform = instance
+        sweep = SweepState(wf, order, Platform.from_platform_rate(1e-3, downtime=5.0))
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            search_checkpoint_count(wf, order, platform, checkpoint_by_weight, sweep=sweep)
+
+    def test_rejects_another_workflow_object(self, instance):
+        wf, order, platform = instance
+        twin = pegasus.montage(20, seed=1).with_checkpoint_costs(
+            mode="proportional", factor=0.1
+        )
+        sweep = SweepState(twin, order, platform)
+        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
+            search_checkpoint_count(wf, order, platform, checkpoint_by_weight, sweep=sweep)
+
+    def test_rejects_backend_with_sweep(self, instance):
+        wf, order, platform = instance
+        sweep = SweepState(wf, order, platform)
+        with pytest.raises(ValueError, match="not both"):
+            search_checkpoint_count(
+                wf, order, platform, checkpoint_by_weight, backend="auto", sweep=sweep
+            )

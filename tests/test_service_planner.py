@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import solve_heuristic
-from repro.core.backend import BackendSpec
+from repro import SweepState, solve_heuristic
 from repro.experiments.scenarios import build_workflow
 from repro.heuristics.registry import heuristic_rng
 from repro.heuristics.search import candidate_counts
 from repro.runtime.cache import ResultCache
-from repro.runtime.runner import CampaignRunner, SharedSweepScorer
+from repro.runtime.runner import CampaignRunner
 from repro.service.metrics import build_service_registry
 from repro.service.planner import ServicePlanner
 from repro.service.schema import (
@@ -65,20 +64,8 @@ def direct_solve(request):
     )
 
 
-class TestSharedSweepScorer:
-    def test_memoises_by_checkpoint_set(self):
-        request = parse_solve_request(solve_payload(heuristic="DF-CkptW"))
-        workflow = build_workflow(request.scenario)
-        from repro.heuristics.linearization import linearize
-
-        order = linearize(workflow, "DF")
-        scorer = SharedSweepScorer(workflow, order, request.scenario.platform)
-        sets = [frozenset(), frozenset({order[0]}), frozenset()]
-        results = [scorer(s) for s in sets]
-        assert scorer.evaluations == 2  # the repeat was memoised
-        assert results[0].expected_makespan == results[2].expected_makespan
-
-    def test_order_guard_rejects_mismatched_evaluator(self):
+class TestSharedSweep:
+    def test_order_guard_rejects_mismatched_sweep(self):
         request = parse_solve_request(solve_payload(heuristic="DF-CkptW"))
         workflow = build_workflow(request.scenario)
         from repro.heuristics.linearization import linearize
@@ -87,15 +74,15 @@ class TestSharedSweepScorer:
         df_order = linearize(workflow, "DF")
         if bf_order == df_order:
             pytest.skip("families where DF == BF cannot exercise the guard")
-        scorer = SharedSweepScorer(workflow, bf_order, request.scenario.platform)
-        with pytest.raises(ValueError, match="different linearization"):
+        sweep = SweepState(workflow, bf_order, request.scenario.platform)
+        with pytest.raises(ValueError, match="another workflow, linearization"):
             solve_heuristic(
                 workflow,
                 request.scenario.platform,
                 "DF-CkptW",
                 rng=heuristic_rng(request.scenario.seed, "DF-CkptW"),
                 counts=candidate_counts(workflow.n_tasks, mode="exhaustive"),
-                backend=BackendSpec(evaluator=scorer),
+                sweep=sweep,
             )
 
 
