@@ -5,10 +5,10 @@ check style, these rules check the *invariants this reproduction's
 guarantees rest on* — cache-key completeness, backend-agnostic keys,
 determinism of everything that feeds a cached or journaled result, fsync
 discipline on durability paths, the fault-site registry, and the
-``BackendSpec`` threading convention.  Each rule is the machine-checked
-form of a contract some PR established; see the rule modules under
-:mod:`repro.devtools.reprolint.rules` and the invariant catalog in
-``EXPERIMENTS.md``.
+``backend=`` / ``sweep=`` convention that ``instance_sweep`` enforces.
+Each rule is the machine-checked form of a contract some PR established;
+see the rule modules under :mod:`repro.devtools.reprolint.rules` and the
+invariant catalog in ``EXPERIMENTS.md``.
 
 Suppression
 -----------

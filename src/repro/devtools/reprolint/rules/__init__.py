@@ -11,7 +11,7 @@ RL003     ``determinism``          no ambient entropy in result-bearing code
 RL004     ``determinism``          sets are sorted before ordered consumption
 RL005     ``io_discipline``        journal writes flush + fsync before ack
 RL006     ``fault_sites``          fault-site namespace is closed & exercised
-RL007     ``api_coherence``        backend kwargs thread through BackendSpec
+RL007     ``api_coherence``        backend kwargs resolve via instance_sweep
 ========  =======================  ==========================================
 """
 

@@ -1,22 +1,25 @@
 """RL007 — backend keyword arguments are threaded, not dropped.
 
-PR 8 established one convention for selecting an evaluation backend:
-public entry points accept ``backend=`` (a name, spec string, or
-``BackendSpec``) plus optional ``evaluator=``/``sweep_evaluator=``
-overrides, and normalise the combination through ``BackendSpec.coerce``
-before anything is evaluated.  Two drift modes this rule catches:
+A solve picks how it prices checkpoint sets in one of two ways:
+``backend=`` names the backend of a fresh
+:class:`~repro.core.sweep.SweepState`, or ``sweep=`` passes one the caller
+already built, which fixes its own backend.
+:func:`repro.heuristics.search.instance_sweep` is the one place that
+resolves the pair: it builds the sweep, or checks the given one against
+the instance and refuses it together with ``backend=``.  Two drift modes
+this rule catches:
 
 * a function accepts ``backend`` and never reads it — callers believe
   they selected the native backend while the python one silently runs
   (worse than an error: the results are right, the performance claim and
   any backend-specific coverage are not);
-* a function accepts both ``backend`` and an evaluator override but
-  combines them ad hoc instead of via ``BackendSpec`` — the precedence
-  rules (explicit evaluator beats spec'd backend) then differ between
-  entry points.
+* a function accepts both ``backend`` and ``sweep`` but combines them
+  ad hoc instead of through ``instance_sweep`` — a caller that passes
+  both then sees one of them silently win.
 
 Pure pass-through wrappers that forward both keywords to a conforming
-callee in a single call are accepted.
+callee in a single call are accepted, and ``instance_sweep`` itself is
+exempt.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import ast
 from typing import Iterator
 
 from ..engine import Finding, LintContext, SourceFile
-from ..projectmodel import iter_functions
+from ..projectmodel import call_name, iter_functions
 from ..registry import rule
 
-_EVALUATOR_PARAMS = {"evaluator", "sweep_evaluator"}
+#: The one function that resolves ``backend=`` against ``sweep=``.
+_RESOLVER = "instance_sweep"
 
 
 def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -69,10 +73,19 @@ def _forwards_together(
     return False
 
 
+def _calls(func: ast.FunctionDef | ast.AsyncFunctionDef, name: str) -> bool:
+    """True if ``func`` calls ``name`` (bare or as an attribute)."""
+    return any(
+        isinstance(node, ast.Call)
+        and (call_name(node) or "").rsplit(".", 1)[-1] == name
+        for node in ast.walk(func)
+    )
+
+
 @rule(
     "RL007",
     "backend-kwargs-coherence",
-    "backend=/evaluator= kwargs are normalised through BackendSpec, never dropped",
+    "backend= is never dropped, and backend=/sweep= resolve through instance_sweep",
     scope="file",
 )
 def check_backend_kwargs(ctx: LintContext, src: SourceFile) -> Iterator[Finding]:
@@ -96,17 +109,10 @@ def check_backend_kwargs(ctx: LintContext, src: SourceFile) -> Iterator[Finding]
                         f"apply"
                     ),
                 )
-        evaluator_params = [p for p in params if p in _EVALUATOR_PARAMS]
-        if not evaluator_params:
+        if "sweep" not in params or func.name == _RESOLVER:
             continue
-        uses_spec = "BackendSpec" in loaded or any(
-            isinstance(node, ast.Attribute) and node.attr == "coerce"
-            for node in ast.walk(func)
-        )
-        if uses_spec:
-            continue
-        if _forwards_together(
-            func, set(backend_params[:1]) | set(evaluator_params)
+        if _calls(func, _RESOLVER) or _forwards_together(
+            func, {backend_params[0], "sweep"}
         ):
             continue
         yield Finding(
@@ -115,9 +121,9 @@ def check_backend_kwargs(ctx: LintContext, src: SourceFile) -> Iterator[Finding]
             line=func.lineno,
             col=func.col_offset,
             message=(
-                f"{func.name}() combines {backend_params[0]!r} with "
-                f"{'/'.join(evaluator_params)} without BackendSpec.coerce: "
-                f"override precedence must be normalised in one place "
-                f"(or forward both kwargs to a conforming callee)"
+                f"{func.name}() takes {backend_params[0]!r} and 'sweep' without "
+                f"calling {_RESOLVER}: a caller that passes both sees one "
+                f"silently win (resolve them through {_RESOLVER}, or forward "
+                f"both kwargs to a conforming callee)"
             ),
         )

@@ -20,6 +20,11 @@ Figure map (paper -> here):
 * Figure 6 (a-d): checkpointing strategies with constant ``c = 5`` s.
 * Figure 7 (a-d): checkpointing strategies versus the failure rate
   :math:`\\lambda`, 200-task workflows.
+
+The six figures are one table (``_FIGURES``) of panels and x axes;
+:func:`all_figures` runs all six as one unit list, so a unit that two
+figures share (Figure 2's inside Figure 3, Figure 4's 5 s and 0.01 w
+panels inside Figures 6 and 5) is solved once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .scenarios import (
     PAPER_TASK_COUNTS,
     SMOKE_TASK_COUNTS,
     Scenario,
-    scenario_grid,
 )
 
 __all__ = [
@@ -96,41 +100,175 @@ class FigureResult:
         return {x: name for x, (name, _) in sorted(best.items())}
 
 
-def _preset_sizes(preset: str, sizes: Sequence[int] | None) -> tuple[int, ...]:
-    if sizes is not None:
-        return tuple(int(s) for s in sizes)
-    if preset == "paper":
-        return PAPER_TASK_COUNTS
-    if preset == "smoke":
-        return SMOKE_TASK_COUNTS
-    raise ValueError(f"unknown preset {preset!r}; expected 'paper' or 'smoke'")
+#: Failure-rate sweeps of Figure 7 (per family; Genome uses smaller rates).
+FIGURE7_RATES: dict[str, tuple[float, ...]] = {
+    "montage": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
+    "ligo": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
+    "cybershake": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
+    "genome": (1e-6, 5e-5, 9e-5, 1.4e-4, 1.8e-4, 2.3e-4, 2.7e-4),
+}
+
+#: Per preset: the size axis, Figure 7's task count and the search mode.
+_PRESETS: dict[str, tuple[tuple[int, ...], int, str]] = {
+    "paper": (PAPER_TASK_COUNTS, 200, "exhaustive"),
+    "smoke": (SMOKE_TASK_COUNTS, 40, "geometric"),
+}
 
 
-def _search_mode(preset: str) -> str:
-    return "exhaustive" if preset == "paper" else "geometric"
+@dataclass(frozen=True)
+class _Panel:
+    """One panel: its scenario label, families, heuristics and checkpoint
+    cost (the :class:`~repro.experiments.scenarios.Scenario` fields)."""
+
+    label: str
+    families: tuple[str, ...]
+    heuristics: tuple[str, ...]
+    checkpoint_mode: str = "proportional"
+    checkpoint_factor: float = 0.1
+    checkpoint_value: float = 0.0
 
 
-def _figure_rows(
-    scenarios,
+@dataclass(frozen=True)
+class _Figure:
+    """One figure: its panels and x axis (the size axis or the rate sweep)."""
+
+    description: str
+    panels: tuple[_Panel, ...]
+    x_axis: str = "n_tasks"
+
+
+_FAMILIES = ("montage", "ligo", "cybershake", "genome")
+_FOCUS = LINEARIZATION_FOCUS_HEURISTICS
+
+_FIGURES: dict[str, _Figure] = {
+    "figure2": _Figure(
+        "Impact of the linearization strategy (c = 0.1 w)",
+        (_Panel("fig2", ("cybershake", "ligo", "genome"), _FOCUS),),
+    ),
+    "figure3": _Figure(
+        "Impact of the checkpointing strategy (c = 0.1 w)",
+        (_Panel("fig3", _FAMILIES, HEURISTIC_NAMES),),
+    ),
+    "figure4": _Figure(
+        "Linearization impact for constant / small checkpoint costs (CyberShake)",
+        (
+            _Panel("cybershake-c10", ("cybershake",), _FOCUS, "constant", checkpoint_value=10.0),
+            _Panel("cybershake-c5", ("cybershake",), _FOCUS, "constant", checkpoint_value=5.0),
+            _Panel("cybershake-0.01w", ("cybershake",), _FOCUS, checkpoint_factor=0.01),
+        ),
+    ),
+    "figure5": _Figure(
+        "Impact of the checkpointing strategy (c = 0.01 w)",
+        (_Panel("fig5", _FAMILIES, HEURISTIC_NAMES, checkpoint_factor=0.01),),
+    ),
+    "figure6": _Figure(
+        "Impact of the checkpointing strategy (c = 5 s)",
+        (_Panel("fig6", _FAMILIES, HEURISTIC_NAMES, "constant", checkpoint_value=5.0),),
+    ),
+    "figure7": _Figure(
+        "Impact of the checkpointing strategy versus the failure rate",
+        (_Panel("fig7", tuple(FIGURE7_RATES), HEURISTIC_NAMES),),
+        x_axis="failure_rate",
+    ),
+}
+
+
+def _expand(
+    figure: _Figure,
+    *,
+    sizes: tuple[int, ...],
+    n_tasks: int,
+    rates: dict[str, tuple[float, ...]],
+    seed: int,
+) -> tuple[list[Scenario], tuple[str, ...]]:
+    """A figure's scenarios (panel -> family -> x) and its panel names.
+
+    The size axis keeps each family's default failure rate; the rate axis
+    sweeps each family of ``rates`` at ``n_tasks``.  A one-panel figure
+    names its panels by family.
+    """
+    scenarios: list[Scenario] = []
+    for panel in figure.panels:
+        families = tuple(rates) if figure.x_axis == "failure_rate" else panel.families
+        for family in families:
+            points = (
+                [(n_tasks, rate) for rate in rates[family]]
+                if figure.x_axis == "failure_rate"
+                else [(n, DEFAULT_FAILURE_RATES[family]) for n in sizes]
+            )
+            scenarios.extend(
+                Scenario(
+                    family=family,
+                    n_tasks=int(n),
+                    failure_rate=float(rate),
+                    checkpoint_mode=panel.checkpoint_mode,
+                    checkpoint_factor=panel.checkpoint_factor,
+                    checkpoint_value=panel.checkpoint_value,
+                    heuristics=panel.heuristics,
+                    seed=seed,
+                    label=panel.label,
+                )
+                for n, rate in points
+            )
+    if len(figure.panels) > 1:
+        return scenarios, tuple(panel.label for panel in figure.panels)
+    return scenarios, families
+
+
+def _figures(
+    names: Sequence[str],
     *,
     preset: str,
+    seed: int,
     search_mode: str | None,
     jobs: int | None,
     cache: Any,
     progress: Any,
-    runner: Any,
-    backend: str | None = None,
-) -> list[ResultRow]:
-    """One figure sweep through the grid runner: shared option plumbing."""
-    return run_grid(
-        scenarios,
-        search_mode=search_mode or _search_mode(preset),
+    backend: str | None,
+    sizes: Sequence[int] | None = None,
+    n_tasks: int | None = None,
+    rates: dict[str, Sequence[float]] | None = None,
+) -> dict[str, FigureResult]:
+    """Run the named figures as one grid and cut each one's rows back out;
+    a unit that two figures share is solved once."""
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; expected 'paper' or 'smoke'")
+    preset_sizes, preset_n_tasks, preset_mode = _PRESETS[preset]
+    sweep = {family: tuple(v) for family, v in (rates or FIGURE7_RATES).items()}
+    if preset == "smoke" and rates is None:
+        # Keep only the endpoints and the middle of each sweep for smoke runs.
+        sweep = {family: (v[0], v[len(v) // 2], v[-1]) for family, v in sweep.items()}
+    expanded = {
+        name: _expand(
+            _FIGURES[name],
+            sizes=preset_sizes if sizes is None else tuple(int(s) for s in sizes),
+            n_tasks=preset_n_tasks if n_tasks is None else n_tasks,
+            rates=sweep,
+            seed=seed,
+        )
+        for name in names
+    }
+    rows = run_grid(
+        [scenario for scenarios, _ in expanded.values() for scenario in scenarios],
+        search_mode=search_mode or preset_mode,
         jobs=jobs,
         cache=cache,
         progress=progress,
-        runner=runner,
         backend=backend,
     )
+    results: dict[str, FigureResult] = {}
+    start = 0
+    for name, (scenarios, panels) in expanded.items():
+        stop = start + sum(len(scenario.heuristics) for scenario in scenarios)
+        results[name] = FigureResult(
+            figure=name,
+            description=_FIGURES[name].description,
+            rows=tuple(rows[start:stop]),
+            x_axis=_FIGURES[name].x_axis,
+            panels=panels,
+        )
+        start = stop
+    return results
 
 
 def figure2(
@@ -142,31 +280,13 @@ def figure2(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 2: impact of the linearization strategy (CkptW and CkptC)."""
-    sizes = _preset_sizes(preset, sizes)
-    scenarios = scenario_grid(
-        ("cybershake", "ligo", "genome"),
-        sizes,
-        checkpoint_mode="proportional",
-        checkpoint_factor=0.1,
-        heuristics=LINEARIZATION_FOCUS_HEURISTICS,
-        seed=seed,
-        label="fig2",
-    )
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=search_mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
-        backend=backend,
-    )
-    return FigureResult(
-        figure="figure2",
-        description="Impact of the linearization strategy (c = 0.1 w)",
-        rows=tuple(rows),
-        panels=("cybershake", "ligo", "genome"),
-    )
+    return _figures(
+        ("figure2",), preset=preset, sizes=sizes, seed=seed, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )["figure2"]
 
 
 def figure3(
@@ -178,31 +298,13 @@ def figure3(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 3: impact of the checkpointing strategy (c = 0.1 w)."""
-    sizes = _preset_sizes(preset, sizes)
-    scenarios = scenario_grid(
-        ("montage", "ligo", "cybershake", "genome"),
-        sizes,
-        checkpoint_mode="proportional",
-        checkpoint_factor=0.1,
-        heuristics=HEURISTIC_NAMES,
-        seed=seed,
-        label="fig3",
-    )
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=search_mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
-        backend=backend,
-    )
-    return FigureResult(
-        figure="figure3",
-        description="Impact of the checkpointing strategy (c = 0.1 w)",
-        rows=tuple(rows),
-        panels=("montage", "ligo", "cybershake", "genome"),
-    )
+    return _figures(
+        ("figure3",), preset=preset, sizes=sizes, seed=seed, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )["figure3"]
 
 
 def figure4(
@@ -214,41 +316,13 @@ def figure4(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 4: CyberShake with constant (10 s, 5 s) and small (0.01 w) checkpoints."""
-    sizes = _preset_sizes(preset, sizes)
-    panels = {
-        "cybershake-c10": ("constant", 0.0, 10.0),
-        "cybershake-c5": ("constant", 0.0, 5.0),
-        "cybershake-0.01w": ("proportional", 0.01, 0.0),
-    }
-    scenarios = [
-        scenario
-        for panel, (ckpt_mode, factor, value) in panels.items()
-        for scenario in scenario_grid(
-            ("cybershake",),
-            sizes,
-            checkpoint_mode=ckpt_mode,
-            checkpoint_factor=factor,
-            checkpoint_value=value,
-            heuristics=LINEARIZATION_FOCUS_HEURISTICS,
-            seed=seed,
-            label=panel,
-        )
-    ]
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=search_mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
-        backend=backend,
-    )
-    return FigureResult(
-        figure="figure4",
-        description="Linearization impact for constant / small checkpoint costs (CyberShake)",
-        rows=tuple(rows),
-        panels=tuple(panels),
-    )
+    return _figures(
+        ("figure4",), preset=preset, sizes=sizes, seed=seed, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )["figure4"]
 
 
 def figure5(
@@ -260,31 +334,13 @@ def figure5(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 5: checkpointing strategies with c = 0.01 w."""
-    sizes = _preset_sizes(preset, sizes)
-    scenarios = scenario_grid(
-        ("montage", "ligo", "cybershake", "genome"),
-        sizes,
-        checkpoint_mode="proportional",
-        checkpoint_factor=0.01,
-        heuristics=HEURISTIC_NAMES,
-        seed=seed,
-        label="fig5",
-    )
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=search_mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
-        backend=backend,
-    )
-    return FigureResult(
-        figure="figure5",
-        description="Impact of the checkpointing strategy (c = 0.01 w)",
-        rows=tuple(rows),
-        panels=("montage", "ligo", "cybershake", "genome"),
-    )
+    return _figures(
+        ("figure5",), preset=preset, sizes=sizes, seed=seed, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )["figure5"]
 
 
 def figure6(
@@ -296,40 +352,13 @@ def figure6(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 6: checkpointing strategies with constant c = 5 s."""
-    sizes = _preset_sizes(preset, sizes)
-    scenarios = scenario_grid(
-        ("montage", "ligo", "cybershake", "genome"),
-        sizes,
-        checkpoint_mode="constant",
-        checkpoint_value=5.0,
-        heuristics=HEURISTIC_NAMES,
-        seed=seed,
-        label="fig6",
-    )
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=search_mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
-        backend=backend,
-    )
-    return FigureResult(
-        figure="figure6",
-        description="Impact of the checkpointing strategy (c = 5 s)",
-        rows=tuple(rows),
-        panels=("montage", "ligo", "cybershake", "genome"),
-    )
-
-
-#: Failure-rate sweeps of Figure 7 (per family; Genome uses smaller rates).
-FIGURE7_RATES: dict[str, tuple[float, ...]] = {
-    "montage": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
-    "ligo": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
-    "cybershake": (1e-4, 2.5e-4, 3.8e-4, 5.2e-4, 6.6e-4, 8e-4, 9.3e-4),
-    "genome": (1e-6, 5e-5, 9e-5, 1.4e-4, 1.8e-4, 2.3e-4, 2.7e-4),
-}
+    return _figures(
+        ("figure6",), preset=preset, sizes=sizes, seed=seed, search_mode=search_mode,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )["figure6"]
 
 
 def figure7(
@@ -342,43 +371,14 @@ def figure7(
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> FigureResult:
     """Figure 7: checkpointing strategies versus the failure rate (200 tasks)."""
-    size = n_tasks if n_tasks is not None else (200 if preset == "paper" else 40)
-    mode = search_mode or _search_mode(preset)
-    sweep = {k: tuple(v) for k, v in (rates or FIGURE7_RATES).items()}
-    if preset == "smoke" and rates is None:
-        # Keep only the endpoints and the middle of each sweep for smoke runs.
-        sweep = {k: (v[0], v[len(v) // 2], v[-1]) for k, v in sweep.items()}
-    scenarios: list[Scenario] = []
-    for family, family_rates in sweep.items():
-        for rate in family_rates:
-            scenarios.append(
-                Scenario(
-                    family=family,
-                    n_tasks=size,
-                    failure_rate=float(rate),
-                    checkpoint_mode="proportional",
-                    checkpoint_factor=0.1,
-                    heuristics=HEURISTIC_NAMES,
-                    seed=seed,
-                    label="fig7",
-                )
-            )
-    rows = _figure_rows(
-        scenarios, preset=preset, search_mode=mode,
-        jobs=jobs, cache=cache, progress=progress, runner=runner,
+    return _figures(
+        ("figure7",), preset=preset, n_tasks=n_tasks, rates=rates, seed=seed,
+        search_mode=search_mode, jobs=jobs, cache=cache, progress=progress,
         backend=backend,
-    )
-    return FigureResult(
-        figure="figure7",
-        description="Impact of the checkpointing strategy versus the failure rate",
-        rows=tuple(rows),
-        x_axis="failure_rate",
-        panels=tuple(sweep.keys()),
-    )
+    )["figure7"]
 
 
 def all_figures(
@@ -394,19 +394,12 @@ def all_figures(
 
     ``jobs``, ``cache`` and ``progress`` are forwarded to the campaign
     runtime; with a persistent cache a re-run of the same preset performs
-    zero evaluator calls (see EXPERIMENTS.md).  One runner, and so one
-    worker pool, serves all six figure sweeps, so pool start-up is paid
-    once.
+    zero evaluator calls (see EXPERIMENTS.md).  The six figures run as one
+    grid on one runner: worker start-up is paid once, and each distinct
+    unit is solved once — a repeated one reports ``solve_seconds`` 0.0, as
+    a cache hit does.
     """
-    from ..runtime.runner import CampaignRunner
-
-    with CampaignRunner(jobs=jobs, cache=cache, progress=progress) as shared:
-        kwargs = dict(preset=preset, seed=seed, runner=shared, backend=backend)
-        return {
-            "figure2": figure2(**kwargs),
-            "figure3": figure3(**kwargs),
-            "figure4": figure4(**kwargs),
-            "figure5": figure5(**kwargs),
-            "figure6": figure6(**kwargs),
-            "figure7": figure7(**kwargs),
-        }
+    return _figures(
+        tuple(_FIGURES), preset=preset, seed=seed, search_mode=None,
+        jobs=jobs, cache=cache, progress=progress, backend=backend,
+    )

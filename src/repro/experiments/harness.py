@@ -124,46 +124,33 @@ def run_scenario(
 def run_grid(
     scenarios: Iterable[Scenario],
     *,
-    search_mode: str | None = None,
-    max_candidates: int | None = None,
+    search_mode: str = "exhaustive",
+    max_candidates: int = 30,
     jobs: int | None = 1,
     cache: Any = None,
     progress: Any = None,
-    runner: Any = None,
     backend: str | None = None,
 ) -> list[ResultRow]:
-    """Run several scenarios back to back and concatenate their rows.
-
-    ``search_mode`` defaults to ``"exhaustive"`` and ``max_candidates`` to
-    30 — except when an existing
-    :class:`~repro.runtime.runner.CampaignRunner` is passed as ``runner``,
-    where an omitted value defers to the runner's own configuration
-    (``jobs`` / ``cache`` / ``progress`` are then taken from the runner
-    too, which also reuses its cache and worker pool across grids).
+    """Run several scenarios as one unit list; rows come back in unit order.
 
     ``jobs > 1`` fans the groups of (scenario × heuristic) units that share
-    a sweep out over a process pool, and a
-    :class:`~repro.runtime.cache.ResultCache` answers repeated units
-    without any evaluator call; every configuration produces the same rows.
+    a sweep out over a process pool, a
+    :class:`~repro.runtime.cache.ResultCache` answers units priced by an
+    earlier run, and a unit whose key repeats within the list is solved
+    once (the figures share units this way); every configuration produces
+    the same rows.
     """
-    if runner is not None:
-        return runner.run_rows(
-            scenarios,
-            search_mode=search_mode,
-            max_candidates=max_candidates,
-            backend=backend,
-        )
     from ..runtime.runner import CampaignRunner
 
     with CampaignRunner(
         jobs=jobs,
         cache=cache,
-        search_mode="exhaustive" if search_mode is None else search_mode,
-        max_candidates=30 if max_candidates is None else max_candidates,
+        search_mode=search_mode,
+        max_candidates=max_candidates,
         progress=progress,
         backend=backend,
-    ) as owned:
-        return owned.run_rows(scenarios)
+    ) as runner:
+        return runner.run_rows(scenarios)
 
 
 def best_by_strategy(rows: Sequence[ResultRow]) -> dict[tuple[str, int, str], ResultRow]:

@@ -32,10 +32,11 @@ aggregates of a ``jobs=4`` run are bit-for-bit those of the serial run.
 
 Result rows come back as :class:`~repro.experiments.harness.ResultRow`.
 Only the *outcome* fields of a row are cached; identity fields (label,
-family, seed, ...) are re-stamped from the requesting unit, so one cached
-evaluation can serve several sweeps (e.g. figure 2 and figure 3 share
-every ``DF-*`` unit on CyberShake) without leaking the original sweep's
-labeling.
+family, seed, ...) are re-stamped from the requesting unit, so one
+evaluation can serve several sweeps without leaking the original sweep's
+labeling: a cached one serves a later run, and within one run a unit
+whose key repeats takes its first occurrence's outcome (figure 3 repeats
+every unit of figure 2, under another label).
 """
 
 from __future__ import annotations
@@ -546,15 +547,16 @@ class CampaignRunner:
     quarantine:
         When true, a group that keeps killing its worker (or times out, or
         raises) is quarantined instead of aborting the run: the remaining
-        groups complete, one failure per unit of the group lands in
-        :attr:`failures` (and the journal), and the group's rows are simply
-        absent from the output.  Off by default — callers that ``zip`` rows
-        back onto their unit list need the one-row-per-unit invariant.
+        groups complete, one failure per unit of the group (and per later
+        unit with the same key) lands in :attr:`failures` (one per key in
+        the journal), and those rows are simply absent from the output.
+        Off by default — callers that ``zip`` rows back onto their unit
+        list need the one-row-per-unit invariant.
 
     The worker pool is created lazily on the first parallel batch and reused
-    for the runner's lifetime, so a driver that issues several sweeps (e.g.
-    ``all_figures``) pays worker start-up once.  Call :meth:`close` (or use
-    the runner as a context manager) to release the pool.
+    for the runner's lifetime, so a driver that issues several sweeps pays
+    worker start-up once.  Call :meth:`close` (or use the runner as a
+    context manager) to release the pool.
     """
 
     def __init__(
@@ -632,28 +634,15 @@ class CampaignRunner:
     # Execution
     # ------------------------------------------------------------------
     def run_rows(
-        self,
-        scenarios: Iterable[Scenario],
-        *,
-        seeds: Sequence[int] | None = None,
-        search_mode: str | None = None,
-        max_candidates: int | None = None,
-        backend: str | None = None,
+        self, scenarios: Iterable[Scenario], *, seeds: Sequence[int] | None = None
     ) -> list[ResultRow]:
-        """Run every unit of the scenarios; rows come back in unit order.
-
-        ``search_mode`` / ``max_candidates`` / ``backend`` override the
-        runner's defaults for this call, so one runner (and its worker
-        pool) can serve sweeps with different configurations.
-        """
+        """Run every unit of the scenarios; rows come back in unit order."""
         units = expand_work_units(
             scenarios,
             seeds=seeds,
-            search_mode=search_mode if search_mode is not None else self.search_mode,
-            max_candidates=(
-                max_candidates if max_candidates is not None else self.max_candidates
-            ),
-            backend=backend if backend is not None else self.backend,
+            search_mode=self.search_mode,
+            max_candidates=self.max_candidates,
+            backend=self.backend,
         )
         return self.run_units(units)
 
@@ -702,22 +691,45 @@ class CampaignRunner:
         consulted *before* the cache: it is the authoritative record of this
         campaign, valid even when no cache is configured.
 
+        A unit whose key already appeared earlier in ``units`` is a
+        *repeat*: it is not looked up, solved, journaled or cached again,
+        but takes its first occurrence's outcome with ``seconds`` 0.0, as
+        a hit does, and is dropped with it when that unit's group is
+        quarantined.
+
         The groups of the misses, ordered by their first unit, are the items
         of :func:`parallel_map`, so supervision counts groups and quarantine
-        drops a whole group (one :class:`UnitFailure` and one journal
-        failure record per unit); the results of a group are persisted,
-        reported and passed to the ``campaign_unit`` fault point unit by
-        unit, in unit order.
+        drops a whole group (one :class:`UnitFailure` per unit, repeats
+        included, and one journal failure record per key); the results of a
+        group are persisted, reported and passed to the ``campaign_unit``
+        fault point unit by unit, in unit order.
         """
         rows: list[Any] = [None] * len(units)
         groups: dict[Hashable, list[int]] = {}
+        first: dict[str, int] = {}
+        repeats: dict[int, list[int]] = {}
         dropped: set[int] = set()
 
         self.progress.start(len(units))
         try:
             plans = [plan_fn(unit) for unit in units]
             done = 0
+
+            def settle(index: int, outcome: dict[str, Any], seconds: float) -> None:
+                """The rows of a unit and of its repeats, from one outcome."""
+                nonlocal done
+                later = repeats.get(index, [])
+                rows[index] = decode_fn(units[index], outcome, seconds)
+                for repeat in later:
+                    rows[repeat] = decode_fn(units[repeat], outcome, 0.0)
+                done += 1 + len(later)
+
             for index, plan in enumerate(plans):
+                source = first.setdefault(plan.key, index)
+                if source != index:
+                    repeats.setdefault(source, []).append(index)
+            for index in first.values():
+                plan = plans[index]
                 outcome = self.journal.get(plan.key) if self.journal is not None else None
                 from_journal = outcome is not None
                 if outcome is None and self.cache is not None:
@@ -725,7 +737,7 @@ class CampaignRunner:
                 if outcome is None:
                     groups.setdefault(plan.group, []).append(index)
                     continue
-                rows[index] = decode_fn(units[index], outcome, 0.0)
+                settle(index, outcome, 0.0)
                 if self.journal is not None and not from_journal:
                     # A cache hit still belongs in this campaign's durable
                     # record: resume must not depend on the cache file's
@@ -735,21 +747,18 @@ class CampaignRunner:
                     # And a journal replay warms the cache, so later
                     # campaigns benefit from the resumed work too.
                     self.cache.put(plan.key, outcome)
-                done += 1
                 fault_point("campaign_unit", default="exit=137", unit=index)
             self.progress.update(done, self._progress_info())
 
             members = list(groups.values())
 
             def on_result(position: int, solved: list[tuple[dict[str, Any], float]]) -> None:
-                nonlocal done
                 for index, (outcome, seconds) in zip(members[position], solved):
-                    rows[index] = decode_fn(units[index], outcome, seconds)
+                    settle(index, outcome, seconds)
                     if self.journal is not None:
                         self.journal.record(plans[index].key, outcome)
                     if self.cache is not None:
                         self.cache.put(plans[index].key, outcome)
-                    done += 1
                     self.progress.update(done, self._progress_info())
                     # The deterministic kill switch of the CI kill-resume
                     # gate: by default this exits hard (SIGKILL-alike),
@@ -760,8 +769,10 @@ class CampaignRunner:
             def on_failure(failure: WorkerFailure) -> None:
                 nonlocal done
                 for index in members[failure.unit_index]:
-                    dropped.add(index)
-                    self.failures.append(UnitFailure(unit=units[index], failure=failure))
+                    for lost in (index, *repeats.get(index, ())):
+                        dropped.add(lost)
+                        self.failures.append(UnitFailure(unit=units[lost], failure=failure))
+                        done += 1
                     if self.journal is not None:
                         self.journal.record_failure(
                             plans[index].key,
@@ -772,7 +783,6 @@ class CampaignRunner:
                                 "cause_message": failure.cause_message,
                             },
                         )
-                    done += 1
                 self.progress.update(done, self._progress_info())
 
             if members:

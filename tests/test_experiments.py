@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -13,9 +14,14 @@ from repro.experiments import (
     LAMBDA_DOWNTIME_DOWNTIMES,
     LAMBDA_DOWNTIME_RATES,
     Scenario,
+    all_figures,
     best_by_strategy,
     build_workflow,
     figure2,
+    figure3,
+    figure4,
+    figure5,
+    figure6,
     figure7,
     format_ratio_table,
     lambda_downtime_grid,
@@ -405,3 +411,63 @@ class TestFigures:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             figure2(preset="gigantic")
+
+    @pytest.mark.parametrize(
+        "entry_point, options",
+        [
+            (figure2, {"sizes": (15,)}),
+            (figure3, {"sizes": (15,)}),
+            (figure4, {"sizes": (15,)}),
+            (figure5, {"sizes": (15,)}),
+            (figure6, {"sizes": (15,)}),
+            (figure7, {}),
+            (figure7, {"n_tasks": 15, "rates": {"montage": (1e-4,)}}),
+            (all_figures, {}),
+        ],
+    )
+    def test_every_entry_point_rejects_unknown_preset(self, entry_point, options):
+        """Explicit sizes, task count or rates do not excuse a bad preset."""
+        with pytest.raises(ValueError, match="unknown preset"):
+            entry_point(preset="gigantic", **options)
+
+    def test_all_figures_is_each_figure_with_shared_units_solved_once(
+        self, monkeypatch
+    ):
+        import repro.runtime.runner as runner_module
+
+        real = runner_module.solve_group
+        solved: list[str] = []
+
+        def counting(plans):
+            solved.extend(plan.key for plan in plans)
+            return real(plans)
+
+        monkeypatch.setattr(runner_module, "solve_group", counting)
+        together = all_figures(preset="smoke")
+        assert sum(len(result.rows) for result in together.values()) == 576
+        # Figure 3 repeats every unit of figure 2; figures 5 and 6 repeat
+        # figure 4's 0.01 w and 5 s panels.
+        assert len(solved) == len(set(solved)) == 516
+        assert {
+            name: sum(row.solve_seconds == 0.0 for row in result.rows)
+            for name, result in together.items()
+        } == {
+            "figure2": 0, "figure3": 36, "figure4": 0,
+            "figure5": 12, "figure6": 12, "figure7": 0,
+        }
+
+        def untimed(result):
+            return dataclasses.replace(
+                result,
+                rows=tuple(
+                    dataclasses.replace(row, solve_seconds=0.0) for row in result.rows
+                ),
+            )
+
+        alone = {
+            entry_point.__name__: entry_point(preset="smoke")
+            for entry_point in (figure2, figure3, figure4, figure5, figure6, figure7)
+        }
+        assert list(together) == list(alone)
+        for name, result in together.items():
+            assert untimed(result) == untimed(alone[name]), name

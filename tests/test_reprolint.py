@@ -613,32 +613,42 @@ def test_rl007_dropped_backend_and_ad_hoc_combination(tmp_path):
                 def solve(workflow, backend="auto"):
                     return workflow
 
-                def search(workflow, backend="auto", evaluator=None):
-                    if evaluator is not None:
-                        return evaluator(workflow)
-                    return run(workflow, backend)
+                def search(workflow, order, backend=None, sweep=None):
+                    if sweep is None:
+                        sweep = SweepState(workflow, order, backend=backend)
+                    return sweep.evaluate(frozenset())
             """,
         },
     )
     result = lint(root, "RL007")
     messages = " | ".join(f.message for f in result.findings)
     assert "solve() accepts 'backend' but never uses it" in messages
-    assert "BackendSpec.coerce" in messages
+    assert "search() takes 'backend' and 'sweep' without calling instance_sweep" in messages
+    assert len(result.findings) == 2
 
 
-def test_rl007_coerce_and_passthrough_pass(tmp_path):
+def test_rl007_instance_sweep_and_passthrough_pass(tmp_path):
     root = make_tree(
         tmp_path,
         {
+            # The resolver itself combines the pair, and is exempt.
+            "search.py": """
+                def instance_sweep(workflow, order, backend=None, sweep=None):
+                    if sweep is None:
+                        return SweepState(workflow, order, backend=backend)
+                    return sweep
+            """,
             "api.py": """
-                from .backend import BackendSpec
+                from . import search
 
-                def search(workflow, backend="auto", evaluator=None):
-                    spec = BackendSpec.coerce(backend, evaluator=evaluator)
-                    return spec.run(workflow)
+                def solve(workflow, order, backend=None, sweep=None):
+                    sweep = search.instance_sweep(
+                        workflow, order, backend=backend, sweep=sweep
+                    )
+                    return sweep.evaluate(frozenset())
 
-                def wrapper(workflow, backend="auto", evaluator=None):
-                    return search(workflow, backend=backend, evaluator=evaluator)
+                def wrapper(workflow, order, backend=None, sweep=None):
+                    return solve(workflow, order, backend=backend, sweep=sweep)
             """,
         },
     )

@@ -9,8 +9,9 @@ These are the acceptance tests of the runtime subsystem:
 
 from __future__ import annotations
 
+import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.experiments import Scenario, run_campaign, run_grid
 from repro.experiments.scenarios import build_workflow
 from repro.heuristics import HEURISTIC_NAMES, linearize, solve_heuristic
 from repro.heuristics.search import candidate_counts
-from repro.runtime import NullProgress, ResultCache
+from repro.runtime import CampaignJournal, NullProgress, ResultCache
 from repro.runtime.runner import (
     CampaignRunner,
     WorkUnit,
@@ -338,21 +339,6 @@ class TestCaching:
         with pytest.raises(ValueError, match="search mode"):
             run_grid([baselines], search_mode="bogus", cache=cache)
 
-    def test_run_grid_defers_to_runner_configuration(self, scenario):
-        """An omitted search_mode must not clobber the runner's own."""
-        from unittest import mock
-
-        import repro.runtime.runner as runner_module
-
-        with CampaignRunner(search_mode="geometric", max_candidates=5) as runner:
-            with mock.patch.object(
-                runner_module, "expand_work_units",
-                wraps=runner_module.expand_work_units,
-            ) as spy:
-                run_grid([scenario], runner=runner)
-        assert spy.call_args.kwargs["search_mode"] == "geometric"
-        assert spy.call_args.kwargs["max_candidates"] == 5
-
     def test_exhaustive_units_hit_across_budgets(self, scenario):
         """max_candidates is ignored in exhaustive mode, so it must not key."""
         cache = ResultCache()
@@ -381,6 +367,97 @@ class TestCaching:
         run_grid([baselines], search_mode="exhaustive", cache=cache)
         assert cache.stats.misses == 2
         assert cache.stats.hits == 2
+
+
+class TestRepeatedKeys:
+    """A unit whose key already appeared in the same run takes the first
+    occurrence's outcome: it is solved, journaled and cached once, its row
+    keeps its own label and reports no solve time, and it is dropped with
+    its source when that group is quarantined."""
+
+    @pytest.fixture
+    def units(self, scenario):
+        first = scenario.with_updates(label="first")
+        again = scenario.with_updates(label="again")
+        options = dict(search_mode="geometric", max_candidates=5)
+        return [
+            WorkUnit(scenario=first, heuristic="DF-CkptW", **options),
+            WorkUnit(scenario=first, heuristic="RF-CkptC", **options),
+            WorkUnit(scenario=again, heuristic="DF-CkptW", **options),
+        ]
+
+    @staticmethod
+    def _solve_group_spy(monkeypatch, poisoned=None):
+        """Record the key of every unit solved; raise for group ``poisoned``."""
+        import repro.runtime.runner as runner_module
+
+        real = runner_module.solve_group
+        solved: list[str] = []
+
+        def spy(plans):
+            if plans[0].group == poisoned:
+                raise RuntimeError("poisoned group")
+            solved.extend(plan.key for plan in plans)
+            return real(plans)
+
+        monkeypatch.setattr(runner_module, "solve_group", spy)
+        return solved
+
+    def test_repeat_is_solved_journaled_and_cached_once(
+        self, units, tmp_path, monkeypatch
+    ):
+        keys = [plan_unit(unit).key for unit in units]
+        assert keys[0] == keys[2] and len(set(keys)) == 2
+        solved = self._solve_group_spy(monkeypatch)
+        recorded: list[str] = []
+        real_record = CampaignJournal.record
+
+        def counting_record(journal, key, outcome):
+            recorded.append(key)
+            real_record(journal, key, outcome)
+
+        monkeypatch.setattr(CampaignJournal, "record", counting_record)
+        cache = ResultCache()
+        path = tmp_path / "journal.jsonl"
+        with CampaignRunner(cache=cache, journal=str(path)) as runner:
+            first, other, again = runner.run_units(units)
+
+        assert sorted(solved) == sorted(recorded) == sorted(set(keys))
+        assert cache.stats.puts == 2 and cache.stats.lookups == 2
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted(r["key"] for r in records if r["kind"] == "unit") == sorted(
+            set(keys)
+        )
+        assert (first.label, other.label, again.label) == ("first", "first", "again")
+        assert again.solve_seconds == 0.0 < first.solve_seconds
+        assert replace(again, label="first", solve_seconds=first.solve_seconds) == first
+
+    def test_repeat_of_a_hit_is_not_looked_up_again(self, units):
+        cache = ResultCache()
+        with CampaignRunner(cache=cache) as runner:
+            cold = runner.run_units(units)
+            warm = runner.run_units(units)
+        assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+        assert all(row.solve_seconds == 0.0 for row in warm)
+        assert [replace(row, solve_seconds=0.0) for row in warm] == [
+            replace(row, solve_seconds=0.0) for row in cold
+        ]
+
+    def test_repeat_is_dropped_with_its_quarantined_source(self, units, monkeypatch):
+        # On another backend the repeat plans into a group of its own (the
+        # backend stays out of the key), yet it still shares its source's fate.
+        units[2] = replace(units[2], backend="numpy")
+        assert plan_unit(units[2]).group != plan_unit(units[0]).group
+        solved = self._solve_group_spy(monkeypatch, poisoned=plan_unit(units[0]).group)
+        with CampaignRunner(quarantine=True, max_retries=0) as runner:
+            rows = runner.run_units(units)
+            failures = list(runner.failures)
+        assert [(row.label, row.heuristic) for row in rows] == [("first", "RF-CkptC")]
+        assert solved == [plan_unit(units[1]).key]
+        assert [(f.unit.scenario.label, f.unit.heuristic) for f in failures] == [
+            ("first", "DF-CkptW"),
+            ("again", "DF-CkptW"),
+        ]
 
 
 class TestProgressReporting:
