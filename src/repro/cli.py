@@ -378,9 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-timeout", type=float, default=None, metavar="SECONDS",
                        help="per-request wall-clock budget; exceeded requests get "
                             "503 + Retry-After (default: none)")
-    serve.add_argument("--group-retries", type=int, default=1,
-                       help="solve-group retries after a worker-pool crash before "
-                            "answering 503 (default 1)")
     _add_backend_argument(serve)
 
     # backends ----------------------------------------------------------
@@ -1137,7 +1134,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_window=args.batch_window,
         queue_max=args.queue_max,
         request_timeout=args.request_timeout,
-        group_retries=args.group_retries,
     )
     return run_server(
         config,

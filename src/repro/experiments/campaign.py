@@ -238,13 +238,13 @@ class CampaignSpec:
     """Content of one campaign: the grid, the seeds, the budget, the shards.
 
     The constructor is the only validator of a campaign grid: it refuses an
-    unknown preset, family or heuristic, an empty axis, a size below the
-    family's minimum, a geometric budget below 2 and fewer than one shard,
-    and builds the scenario grid once —
-    so a bad grid is refused before any cache file, journal or socket
-    exists.  :meth:`to_payload` is the wire form the fabric coordinator
-    ships to its workers, and :meth:`content_digest` enters every fabric
-    shard's journal key.
+    unknown preset, family or heuristic, an empty axis, a value repeated
+    on an axis, a size below the family's minimum, a geometric budget below
+    2 and fewer than one shard, and builds the scenario grid once — so a
+    bad grid is refused before any cache file, journal or socket exists.
+    :meth:`to_payload` is the wire form the fabric coordinator ships to its
+    workers, and :meth:`content_digest` enters every fabric shard's journal
+    key.
 
     The evaluation backend stays *out* of the spec (and its digest) and
     rides the runner or worker config instead.  Backends agree within 1e-9
@@ -286,11 +286,18 @@ class CampaignSpec:
             (self.families, "family"),
             (self.sizes, "size"),
             (self.seeds, "seed"),
+            (self.heuristics, "heuristic"),
             (self.downtimes, "downtime"),
             (self.processors, "processor count"),
         ):
-            if axis is not None and not axis:
+            if axis is None:
+                continue
+            if not axis:
                 raise ValueError(f"at least one {noun} is required")
+            # A repeat would count one instance twice in the aggregates.
+            for position, value in enumerate(axis):
+                if value in axis[:position]:
+                    raise ValueError(f"{noun} {value!r} is given more than once")
         # The grid is built here, once: an unknown family fails its builder,
         # and a size its generator would refuse fails before any unit runs.
         for scenario in self._grid:

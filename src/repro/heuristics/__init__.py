@@ -26,6 +26,7 @@ from .registry import (
     parse_heuristic_name,
     solve_all_heuristics,
     solve_heuristic,
+    solve_on_sweep,
 )
 from .search import (
     SEARCH_MODES,
@@ -62,4 +63,5 @@ __all__ = [
     "search_checkpoint_count",
     "solve_all_heuristics",
     "solve_heuristic",
+    "solve_on_sweep",
 ]

@@ -29,7 +29,7 @@ from .checkpointing import (
 )
 from ..core.hashing import stable_seed_words
 from .linearization import LINEARIZATION_STRATEGIES, linearize
-from .search import instance_sweep, search_checkpoint_count
+from .search import search_checkpoint_count
 
 __all__ = [
     "HEURISTIC_NAMES",
@@ -37,6 +37,7 @@ __all__ = [
     "heuristic_rng",
     "parse_heuristic_name",
     "solve_heuristic",
+    "solve_on_sweep",
     "solve_all_heuristics",
     "best_heuristic",
 ]
@@ -119,7 +120,6 @@ def solve_heuristic(
     rng: np.random.Generator | int | None = None,
     counts: "list[int] | tuple[int, ...] | None" = None,
     backend: str | None = None,
-    sweep: SweepState | None = None,
 ) -> HeuristicResult:
     """Run one named heuristic end to end.
 
@@ -145,26 +145,42 @@ def solve_heuristic(
         :func:`~repro.heuristics.search.search_checkpoint_count`).
     backend:
         Backend name (``"auto"`` / ``"python"`` / ``"numpy"`` /
-        ``"native"``) of the :class:`~repro.core.sweep.SweepState` built
-        when no ``sweep`` is given; see
+        ``"native"``) of the :class:`~repro.core.sweep.SweepState` every
+        set is priced on; see
         :meth:`repro.core.backend.BackendRegistry.resolve`.
-    sweep:
-        A :class:`~repro.core.sweep.SweepState` over this ``workflow``
-        object, the heuristic's linearization and ``platform`` (see
-        :func:`~repro.heuristics.search.instance_sweep`) on which every set
-        is priced; the campaign runner shares one across a group.  The
-        result's evaluation is the one-shot
-        :func:`~repro.core.evaluator.evaluate_schedule` of its schedule.
 
     Returns
     -------
     HeuristicResult
     """
-    linearization, strategy = parse_heuristic_name(heuristic)
+    linearization, _ = parse_heuristic_name(heuristic)
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         rng = heuristic_rng(int(rng), heuristic)
     order = linearize(workflow, linearization, rng=rng)
-    sweep = instance_sweep(workflow, order, platform, backend=backend, sweep=sweep)
+    return solve_on_sweep(
+        SweepState(workflow, order, platform, backend=backend), heuristic, counts=counts
+    )
+
+
+def solve_on_sweep(
+    sweep: SweepState,
+    heuristic: str,
+    *,
+    counts: "list[int] | tuple[int, ...] | None" = None,
+) -> HeuristicResult:
+    """Run one named heuristic on the linearization ``sweep`` was built for.
+
+    Everything :func:`solve_heuristic` does after it linearizes: the
+    checkpoint strategy of ``heuristic`` prices every set on ``sweep``
+    (its workflow, order and platform are the instance), so a caller
+    solving several heuristics of one linearization builds one sweep for
+    all of them, as the campaign runner does for a group.  ``sweep`` must
+    be over the heuristic's own linearization; ``counts`` is as for
+    :func:`solve_heuristic`.  The result's evaluation is the one-shot
+    :func:`~repro.core.evaluator.evaluate_schedule` of its schedule.
+    """
+    linearization, strategy = parse_heuristic_name(heuristic)
+    workflow, order = sweep.workflow, sweep.order
 
     if strategy in ("CkptNvr", "CkptAlws"):
         selected = (
@@ -184,7 +200,7 @@ def solve_heuristic(
 
     selector = get_selector(strategy)
     search = search_checkpoint_count(
-        workflow, order, platform, selector, counts=counts, sweep=sweep
+        workflow, order, sweep.platform, selector, counts=counts, sweep=sweep
     )
     return HeuristicResult(
         heuristic=heuristic,

@@ -5,8 +5,9 @@ through:
 
 * :mod:`repro.runtime.keys` — stable content-addressed cache keys;
 * :mod:`repro.runtime.cache` — in-memory LRU + optional sqlite persistence;
-* :mod:`repro.runtime.parallel` — deterministic process-pool map with a
-  serial fallback;
+* :mod:`repro.runtime.parallel` — deterministic, supervised process-pool
+  map with a serial fallback, over a :class:`WorkerPool` that callers can
+  keep across maps;
 * :mod:`repro.runtime.runner` — the solve core shared by campaigns,
   figures and the service, and the :class:`CampaignRunner` fanning groups
   of (scenario × seed × heuristic) units out across workers;
@@ -57,8 +58,8 @@ from .leases import DONE, LEASED, PENDING, POISON, LeaseQueue, ShardLease
 from .parallel import (
     QUARANTINED,
     WorkerFailure,
+    WorkerPool,
     deterministic_chunksize,
-    dispose_executor,
     parallel_map,
     resolve_jobs,
 )
@@ -97,12 +98,12 @@ __all__ = [
     "UnitFailure",
     "WorkUnit",
     "WorkerFailure",
+    "WorkerPool",
     "active_faults",
     "canonical_json",
     "coerce_progress",
     "deterministic_chunksize",
     "digest",
-    "dispose_executor",
     "evaluation_key",
     "fabric_shard_key",
     "parse_address",

@@ -31,9 +31,9 @@ Every other ``key=value`` pair is a *context match*: the clause only fires
 when the fault point was invoked with a context value whose ``str()`` equals
 ``value`` — e.g. ``worker_crash:unit=3`` targets the worker iteration of
 parallel item 3 only, and ``worker_crash:unit=3,attempt=1`` additionally
-spares the retry, modelling a transient crash.  In a campaign a parallel
-item is a *group* of units that share a sweep (see
-:mod:`repro.runtime.runner`), so ``worker_crash:unit=`` and
+spares the retry, modelling a transient crash.  In a campaign and in a
+service batch a parallel item is a *group* of units that share a sweep
+(see :mod:`repro.runtime.runner`), so ``worker_crash:unit=`` and
 ``chunk_timeout:unit=`` count groups, not units; ``campaign_unit:unit=``
 counts units.
 
@@ -43,16 +43,13 @@ Fault points registered across the tree:
 site                 where                                              default action
 ===================  =================================================  ==================
 ``worker_crash``     per item in :func:`~repro.runtime.parallel         ``exit=137``
-                     .parallel_map` workers (and the serial loop); a
-                     campaign's items are groups of units
+                     .parallel_map` workers (and the serial loop); the
+                     items of a campaign or a service batch are groups
 ``chunk_timeout``    same place, before the item runs                   ``sleep=30``
 ``cache_open``       :class:`~repro.runtime.cache.DiskCache` open       ``raise=DatabaseError``
 ``cache_read``       every :meth:`DiskCache.get`                        ``raise=DatabaseError``
 ``campaign_unit``    parent-side, after a completed unit is             ``exit=137``
                      journaled/cached in ``CampaignRunner._run_cached``
-``service_group``    the service planner, before it solves a group      ``raise=RuntimeError``
-                     (``repro.service.planner._solve_service_group``);
-                     campaigns never reach it
 ``lease_grant``      :meth:`repro.runtime.leases.LeaseQueue.grant`,     ``raise=OSError``
                      after a shard is selected, before it is leased
 ``lease_renew``      :meth:`repro.runtime.leases.LeaseQueue.renew`      ``raise=OSError``
@@ -68,8 +65,9 @@ site                 where                                              default 
 The registry re-parses lazily whenever the environment string changes, so
 tests can simply ``monkeypatch.setenv("REPRO_FAULTS", ...)`` — no explicit
 reset call needed — and forked workers pick up whatever was armed at fork
-time.  ``after``/``times`` counters are per-process and reset whenever the
-spec string changes.
+time (a :class:`~repro.runtime.parallel.WorkerPool` forks when it starts,
+and again after each reset).  ``after``/``times`` counters are per-process
+and reset whenever the spec string changes.
 """
 
 from __future__ import annotations
@@ -78,7 +76,6 @@ import os
 import sqlite3
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -105,7 +102,6 @@ _EXCEPTIONS: dict[str, type[BaseException]] = {
     "TimeoutError": TimeoutError,
     "KeyboardInterrupt": KeyboardInterrupt,
     "DatabaseError": sqlite3.DatabaseError,
-    "BrokenProcessPool": BrokenProcessPool,
 }
 
 _ACTION_KEYS = ("raise", "exit", "sleep")
@@ -123,7 +119,6 @@ KNOWN_FAULT_SITES = frozenset(
         "cache_open",
         "cache_read",
         "campaign_unit",
-        "service_group",
         "lease_grant",
         "lease_renew",
         "worker_heartbeat",

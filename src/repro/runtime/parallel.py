@@ -24,6 +24,11 @@ properties the campaign runtime needs:
   :class:`WorkerFailure` carrying the unit index, attempt count and the
   original worker-side exception (with its traceback text).
 
+A :class:`WorkerPool` keeps the workers alive across calls: the campaign
+runner and the service planner each hold one, so every batch they map is
+supervised the same way, and concurrent calls (the service's batch
+threads) share its workers.  Without one, a call starts and stops its own.
+
 The mapped function must be picklable (a module-level function) when
 ``jobs > 1``; work units likewise.
 """
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import threading
 import time
 import traceback as traceback_module
 from collections import deque
@@ -46,8 +53,8 @@ from .retry import RetryPolicy
 __all__ = [
     "QUARANTINED",
     "WorkerFailure",
+    "WorkerPool",
     "deterministic_chunksize",
-    "dispose_executor",
     "parallel_map",
     "resolve_jobs",
 ]
@@ -179,25 +186,80 @@ def deterministic_chunksize(n_items: int, jobs: int) -> int:
     return max(1, min(32, target))
 
 
-def dispose_executor(pool: Any) -> None:
-    """Shut a pool down hard: cancel queued work and terminate its workers.
+def _detach_worker_signals() -> None:
+    """Worker initializer: drop the signal wiring a fork copied from the parent.
 
-    ``ProcessPoolExecutor.shutdown`` never kills a worker mid-task, so a
-    worker stuck in a runaway unit would keep the interpreter alive
-    indefinitely; supervision needs the kill.  The worker handles live in a
-    private attribute, hence the defensive ``getattr``.
+    A worker forked from the asyncio daemon inherits the event loop's
+    signal wakeup fd and its no-op handlers, so a SIGTERM to the worker
+    (``ProcessPoolExecutor`` sends one to the survivors of a broken pool,
+    and so does :meth:`WorkerPool.reset`) left the worker running and
+    reached the parent's loop as its own stop signal.
     """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    processes = getattr(pool, "_processes", None)
-    if processes:
-        for process in list(processes.values()):
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+class WorkerPool:
+    """Worker processes that outlive one :func:`parallel_map` call.
+
+    The :class:`~concurrent.futures.ProcessPoolExecutor` starts lazily, on
+    the first parallel dispatch.  After a crash or timeout (or when a call
+    is interrupted), ``parallel_map`` hard-resets it (:meth:`reset`), and
+    the next dispatch starts a fresh one.  ``resets`` counts the executors
+    disposed that way and ``resent`` the items dispatched again after a
+    crash or timeout, over the pool's lifetime.  Safe to share between
+    threads.
+    """
+
+    def __init__(self, jobs: int | None = 1) -> None:
+        self.workers = resolve_jobs(jobs)
+        self.resets = 0
+        self.resent = 0
+        self._executor: ProcessPoolExecutor | None = None
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, started on first use."""
+        with self._lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_detach_worker_signals
+                )
+            return self._executor
+
+    def reset(self, broken: ProcessPoolExecutor) -> None:
+        """Dispose ``broken`` hard, unless another caller already replaced it.
+
+        ``shutdown`` never kills a worker mid-task, so a worker stuck in a
+        runaway unit would live on; its queued work is cancelled and every
+        worker terminated instead.  The worker handles live in a private
+        attribute, hence the defensive ``getattr``.
+        """
+        with self._lock:
+            if broken is not self._executor:
+                return
+            self._executor = None
+            self.resets += 1
+        try:
+            broken.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+        for process in list((getattr(broken, "_processes", None) or {}).values()):
             try:
                 process.terminate()
             except Exception:
                 pass
+
+    def _count_resent(self, items: int) -> None:
+        with self._lock:
+            self.resent += items
+
+    def close(self) -> None:
+        """Shut the workers down (the pool starts anew if used again)."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
 
 @dataclass
@@ -209,6 +271,9 @@ class _Chunk:
     #: It was running when a worker died beside other chunks, so whether
     #: its own worker died is unknown: it next runs alone, which settles it.
     suspect: bool = False
+    #: Its units have been dispatched, so dispatching them again counts in
+    #: :attr:`WorkerPool.resent`.
+    sent: bool = False
 
 
 class _WaveAbort(Exception):
@@ -222,8 +287,7 @@ def parallel_map(
     jobs: int | None = 1,
     chunksize: int | None = None,
     on_result: Callable[[int, Any], None] | None = None,
-    executor: ProcessPoolExecutor | None = None,
-    executor_factory: Callable[[bool], ProcessPoolExecutor] | None = None,
+    pool: WorkerPool | None = None,
     max_retries: int = 2,
     retry_backoff: float = 0.5,
     unit_timeout: float | None = None,
@@ -241,7 +305,7 @@ def parallel_map(
         Work units; consumed eagerly so the total is known up front.
     jobs:
         Worker processes.  ``1`` (the default) runs serially in-process;
-        ``None`` or ``0`` uses every CPU.
+        ``None`` or ``0`` uses every CPU.  Ignored when ``pool`` is given.
     chunksize:
         Units per worker dispatch; defaults to
         :func:`deterministic_chunksize`.
@@ -251,17 +315,10 @@ def parallel_map(
         order when serial, in completion order when parallel.  This is the
         hook for progress reporting and incremental persistence: even if a
         later unit fails, every completed unit is reported first.
-    executor:
-        Optional existing :class:`ProcessPoolExecutor` to dispatch on.  The
-        caller keeps ownership (it is not shut down here).  A pool passed
-        this way cannot be replaced after a crash, so pool-level failures
-        are not retried; pass ``executor_factory`` to get supervision with
-        a caller-owned pool.
-    executor_factory:
-        ``executor_factory(reset)`` returns the pool to dispatch on; called
-        with ``reset=True`` after a pool-level failure, in which case it
-        must dispose of the broken pool and build a fresh one (see
-        :func:`dispose_executor`).  Takes precedence over ``executor``.
+    pool:
+        A :class:`WorkerPool` to dispatch on; its ``workers`` is the worker
+        count, and it stays open after the call.  Without one, a parallel
+        call starts and closes a pool of its own.
     max_retries:
         Pool-level retries per chunk beyond the first attempt.  Unit-level
         exceptions (``fn`` raised) are deterministic and never retried.
@@ -297,7 +354,8 @@ def parallel_map(
         boundary there, and it is the bit-for-bit reference.
     """
     units: Sequence[Any] = list(items)
-    n_jobs = min(resolve_jobs(jobs), max(1, len(units)))
+    workers = pool.workers if pool is not None else resolve_jobs(jobs)
+    n_jobs = min(workers, max(1, len(units)))
 
     if n_jobs <= 1:
         return _serial_map(
@@ -307,38 +365,15 @@ def parallel_map(
     if chunksize is None:
         chunksize = deterministic_chunksize(len(units), n_jobs)
 
-    own_pool: list[ProcessPoolExecutor] = []
-    if executor_factory is None:
-        if executor is not None:
-            fixed_pool = executor
-
-            def factory(reset: bool) -> ProcessPoolExecutor:
-                if reset:
-                    raise _WaveAbort  # caller-owned pool: cannot rebuild
-                return fixed_pool
-
-        else:
-
-            def factory(reset: bool) -> ProcessPoolExecutor:
-                if reset and own_pool:
-                    dispose_executor(own_pool.pop())
-                if not own_pool:
-                    own_pool.append(ProcessPoolExecutor(max_workers=n_jobs))
-                return own_pool[0]
-
-        retryable = executor is None
-    else:
-        factory = executor_factory
-        retryable = True
-
+    own_pool = pool is None
+    active = WorkerPool(n_jobs) if pool is None else pool
     try:
         return _supervised_map(
             fn,
             units,
             n_jobs=n_jobs,
             chunksize=chunksize,
-            factory=factory,
-            retryable=retryable,
+            pool=active,
             on_result=on_result,
             max_retries=max_retries,
             retry_backoff=retry_backoff,
@@ -348,7 +383,7 @@ def parallel_map(
         )
     finally:
         if own_pool:
-            own_pool.pop().shutdown()
+            active.close()
 
 
 def _serial_map(
@@ -395,8 +430,7 @@ def _supervised_map(
     *,
     n_jobs: int,
     chunksize: int,
-    factory: Callable[[bool], ProcessPoolExecutor],
-    retryable: bool,
+    pool: WorkerPool,
     on_result: Callable[[int, Any], None] | None,
     max_retries: int,
     retry_backoff: float,
@@ -456,9 +490,9 @@ def _supervised_map(
             # The guilty unit is unknown; splitting isolates it in
             # O(log chunksize) resets while its chunk-mates escape.
             mid = len(chunk.indices) // 2
-            queue.append(_Chunk(chunk.indices[:mid], next_attempt))
-            queue.append(_Chunk(chunk.indices[mid:], next_attempt))
-        elif not retryable or next_attempt > max_retries + 1:
+            queue.append(_Chunk(chunk.indices[:mid], next_attempt, sent=True))
+            queue.append(_Chunk(chunk.indices[mid:], next_attempt, sent=True))
+        elif next_attempt > max_retries + 1:
             index = chunk.indices[0]
             settle_failure(
                 index,
@@ -472,36 +506,37 @@ def _supervised_map(
                 ),
             )
         else:
-            queue.append(_Chunk(chunk.indices, next_attempt))
+            queue.append(_Chunk(chunk.indices, next_attempt, sent=True))
 
-    while queue:
-        try:
-            _run_wave(
-                fn,
-                units,
-                queue=queue,
-                pool=factory(False),
-                n_jobs=n_jobs,
-                unit_timeout=unit_timeout,
-                deliver=deliver,
-                escalate=escalate,
-            )
-        except _WaveAbort:
-            if not retryable:
-                # Caller-owned pool without a factory: nothing to rebuild.
-                # Whatever the wave escalated onto the queue is undeliverable.
-                while queue:
-                    chunk = queue.popleft()
-                    escalate(_Chunk(chunk.indices, max_retries + 1), "crash",
-                             "worker pool broke and cannot be rebuilt here")
-                break
-            resets += 1
-            factory(True)
-            if backoff is not None:
-                backoff.sleep(resets)
-
-    if first_error is not None:
-        raise first_error
+    executor: ProcessPoolExecutor | None = None
+    try:
+        while queue:
+            executor = pool.executor()
+            try:
+                _run_wave(
+                    fn,
+                    units,
+                    queue=queue,
+                    pool=pool,
+                    executor=executor,
+                    n_jobs=n_jobs,
+                    unit_timeout=unit_timeout,
+                    deliver=deliver,
+                    escalate=escalate,
+                )
+            except _WaveAbort:
+                pool.reset(executor)
+                resets += 1
+                if backoff is not None:
+                    backoff.sleep(resets)
+        if first_error is not None:
+            raise first_error
+    except BaseException:
+        # A failed or interrupted call (or a raising callback) stops what
+        # is still in flight and leaves no worker state to the next call.
+        if executor is not None:
+            pool.reset(executor)
+        raise
     assert all(result is not unset for result in results)
     return results
 
@@ -511,13 +546,14 @@ def _run_wave(
     units: Sequence[Any],
     *,
     queue: deque[_Chunk],
-    pool: ProcessPoolExecutor,
+    pool: WorkerPool,
+    executor: ProcessPoolExecutor,
     n_jobs: int,
     unit_timeout: float | None,
     deliver: Callable[[_Chunk, list[tuple[str, Any]]], None],
     escalate: Callable[[_Chunk, str, str], None],
 ) -> None:
-    """Drain the queue on one pool; raise :class:`_WaveAbort` if it dies.
+    """Drain the queue on one executor; raise :class:`_WaveAbort` if it dies.
 
     Dispatch is a sliding window of at most ``n_jobs`` chunks (a suspect
     chunk runs alone), so every submitted chunk starts executing
@@ -546,10 +582,13 @@ def _run_wave(
             chunk = queue.popleft()
             payload = (fn, [units[i] for i in chunk.indices], chunk.indices, chunk.attempt)
             try:
-                future = pool.submit(_apply_chunk, payload)
+                future = executor.submit(_apply_chunk, payload)
             except BrokenProcessPool as exc:
                 queue.appendleft(chunk)  # the pool was already dead, not its fault
                 abort("crash", str(exc) or "worker pool is broken", [])
+            if chunk.sent:
+                pool._count_resent(len(chunk.indices))
+            chunk.sent = True
             inflight[future] = chunk
             if unit_timeout is not None:
                 deadlines[future] = (

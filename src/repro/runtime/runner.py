@@ -26,9 +26,11 @@ the direct :func:`~repro.heuristics.registry.solve_heuristic` result.
 :class:`~repro.runtime.cache.ResultCache` without any evaluator call (only
 the cheap workflow construction is repeated, to fingerprint the instance
 content-addressably), then fans the groups of the remaining units out over
-a process pool via :func:`~repro.runtime.parallel.parallel_map` — a
-parallel item is a group, not a unit — gathering results in input order:
-aggregates of a ``jobs=4`` run are bit-for-bit those of the serial run.
+its :class:`~repro.runtime.parallel.WorkerPool` via
+:func:`~repro.runtime.parallel.parallel_map` — a parallel item is a
+group, not a unit, as in a service batch — gathering results in input
+order: aggregates of a ``jobs=4`` run are bit-for-bit those of the serial
+run.
 
 Result rows come back as :class:`~repro.experiments.harness.ResultRow`.
 Only the *outcome* fields of a row are cached; identity fields (label,
@@ -55,7 +57,12 @@ from ..core.sweep import SweepState
 from ..experiments.harness import ResultRow
 from ..experiments.scenarios import Scenario, build_workflow
 from ..heuristics.linearization import linearize
-from ..heuristics.registry import heuristic_rng, parse_heuristic_name, solve_heuristic
+from ..heuristics.registry import (
+    heuristic_rng,
+    parse_heuristic_name,
+    solve_heuristic,
+    solve_on_sweep,
+)
 from ..heuristics.search import SEARCH_MODES, candidate_counts
 from .cache import LRUCache, ResultCache
 from .faults import fault_point
@@ -67,7 +74,7 @@ from .keys import (
     robustness_unit_key,
     scenario_unit_key,
 )
-from .parallel import WorkerFailure, dispose_executor, parallel_map, resolve_jobs
+from .parallel import WorkerFailure, WorkerPool, parallel_map, resolve_jobs
 from .progress import coerce_progress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -188,7 +195,7 @@ class SolvedGroup:
     outcomes: list[dict[str, Any]]
     #: Schedule of each unit: ``{"order": [...], "checkpointed": [...]}``.
     schedules: list[dict[str, list[int]]]
-    #: Wall time of each unit's own ``solve_heuristic`` call.
+    #: Wall time of each unit's own ``solve_on_sweep`` call.
     seconds: list[float]
     #: Evaluations made on the group's one sweep.
     evaluations: int
@@ -291,8 +298,9 @@ def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
     """Solve one group of planned units (module-level, hence picklable).
 
     The units share workflow content, platform, linearization and backend
-    (see :func:`plan_unit`), so every unit prices its sets on one
-    :class:`~repro.core.sweep.SweepState`, built for the first unit.
+    (see :func:`plan_unit`), so the group linearizes once and every unit
+    prices its sets on one :class:`~repro.core.sweep.SweepState`, built for
+    the first unit (:func:`~repro.heuristics.registry.solve_on_sweep`).
     """
     first = plans[0].unit
     workflow, _ = _memoized_instance(first.scenario)
@@ -310,14 +318,7 @@ def solve_group(plans: Sequence[PlannedUnit]) -> SolvedGroup:
     for plan in plans:
         unit = plan.unit
         start = time.perf_counter()
-        result = solve_heuristic(
-            workflow,
-            platform,
-            unit.heuristic,
-            rng=heuristic_rng(unit.scenario.seed, unit.heuristic),
-            counts=plan.counts,
-            sweep=sweep,
-        )
+        result = solve_on_sweep(sweep, unit.heuristic, counts=plan.counts)
         seconds.append(time.perf_counter() - start)
         # The wall-clock time stays out of the outcome: it describes the
         # machine that computed the unit, so a cache hit reports 0.0 rather
@@ -553,10 +554,11 @@ class CampaignRunner:
         Off by default — callers that ``zip`` rows back onto their unit
         list need the one-row-per-unit invariant.
 
-    The worker pool is created lazily on the first parallel batch and reused
-    for the runner's lifetime, so a driver that issues several sweeps pays
-    worker start-up once.  Call :meth:`close` (or use the runner as a
-    context manager) to release the pool.
+    The runner keeps one :class:`~repro.runtime.parallel.WorkerPool`: its
+    workers start on the first parallel batch and serve the runner's
+    lifetime, so a driver that issues several sweeps pays worker start-up
+    once.  Call :meth:`close` (or use the runner as a context manager) to
+    release them.
     """
 
     def __init__(
@@ -594,41 +596,19 @@ class CampaignRunner:
         self.quarantine = bool(quarantine)
         #: Quarantined units, accumulated across this runner's sweeps.
         self.failures: list[UnitFailure] = []
-        self._pool: Any = None
+        self._pool = WorkerPool(self.jobs)
 
     def close(self) -> None:
         """Shut down the worker pool (and a journal this runner opened)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self._pool.close()
         if self._owns_journal and self.journal is not None:
             self.journal.close()
-
-    def _reset_pool(self) -> None:
-        if self._pool is not None:
-            dispose_executor(self._pool)
-            self._pool = None
-
-    def _executor_factory(self, reset: bool) -> Any:
-        """Pool accessor handed to :func:`parallel_map` for supervision."""
-        if reset:
-            self._reset_pool()
-        return self._executor()
 
     def __enter__(self) -> "CampaignRunner":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _executor(self) -> Any:
-        if self.jobs <= 1:
-            return None
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
 
     # ------------------------------------------------------------------
     # Execution
@@ -786,27 +766,17 @@ class CampaignRunner:
                 self.progress.update(done, self._progress_info())
 
             if members:
-                try:
-                    parallel_map(
-                        solve_fn,
-                        [tuple(plans[index] for index in group) for group in members],
-                        jobs=self.jobs,
-                        on_result=on_result,
-                        on_failure=on_failure,
-                        quarantine=self.quarantine,
-                        max_retries=self.max_retries,
-                        retry_backoff=self.retry_backoff,
-                        unit_timeout=self.unit_timeout,
-                        executor_factory=(
-                            self._executor_factory if self.jobs > 1 else None
-                        ),
-                    )
-                except BaseException:
-                    # A worker crash (e.g. BrokenProcessPool) can leave the
-                    # pool unusable; drop it so the next batch on this
-                    # runner starts fresh instead of failing forever.
-                    self._reset_pool()
-                    raise
+                parallel_map(
+                    solve_fn,
+                    [tuple(plans[index] for index in group) for group in members],
+                    pool=self._pool,
+                    on_result=on_result,
+                    on_failure=on_failure,
+                    quarantine=self.quarantine,
+                    max_retries=self.max_retries,
+                    retry_backoff=self.retry_backoff,
+                    unit_timeout=self.unit_timeout,
+                )
         finally:
             # Always terminate the progress line, so an error message that
             # follows starts on a clean line.

@@ -70,7 +70,6 @@ class ServiceConfig:
     queue_max: int = 256
     max_batch: int = 64
     request_timeout: float | None = None
-    group_retries: int = 1
 
 
 class ServiceServer:
@@ -86,7 +85,6 @@ class ServiceServer:
             cache=self.cache,
             registry=self.registry,
             jobs=config.jobs,
-            group_retries=config.group_retries,
         )
         self.batcher = RequestBatcher(
             self.planner,

@@ -19,41 +19,29 @@ A daemon response is therefore bit-for-bit the direct
 entry is the one a campaign writes for the same unit.
 
 Everything here is synchronous and thread-safe; the asyncio side lives in
-:mod:`repro.service.batcher`.  With ``jobs > 1`` the planner fans groups out
-over a process pool (one group per worker task), mirroring the campaign
-runner's worker model.  The ``service_group`` fault point lives here, in
-:func:`_solve_service_group`, so campaigns never fire it.
+:mod:`repro.service.batcher`.  The groups of a batch are the items of one
+:func:`~repro.runtime.parallel.parallel_map` call on the planner's
+:class:`~repro.runtime.parallel.WorkerPool`, which every batch thread
+shares: with ``jobs > 1`` a group that crashes its worker is retried,
+bisected and quarantined exactly as a campaign group is, and only the
+requests of a quarantined group fail.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
 from ..analysis import analyse_schedule, checkpoint_utilities
 from ..core.evaluator import evaluate_schedule
 from ..runtime.cache import LRUCache, ResultCache
-from ..runtime.faults import fault_point
-from ..runtime.parallel import dispose_executor, resolve_jobs
+from ..runtime.parallel import WorkerFailure, WorkerPool, parallel_map
 from ..runtime.runner import PlannedUnit, SolvedGroup, WorkUnit, plan_unit, solve_group
 from .metrics import MetricsRegistry
 from .schema import ScheduleRequest, ServiceError, SolveRequest
 
 __all__ = ["ServicePlanner"]
-
-
-def _solve_service_group(
-    plans: Sequence[PlannedUnit], attempt: int = 1
-) -> SolvedGroup:
-    """Solve one group for the service (module-level, hence picklable).
-
-    ``attempt`` exists so fault specs can target only the first try of a
-    group (``service_group:attempt=1``) and let the retry succeed.
-    """
-    fault_point("service_group", default="raise=RuntimeError", attempt=attempt)
-    return solve_group(plans)
 
 
 class ServicePlanner:
@@ -62,8 +50,8 @@ class ServicePlanner:
     Parameters
     ----------
     cache:
-        Optional shared :class:`~repro.runtime.cache.ResultCache` (its
-        thread-safe since this PR); ``None`` still coalesces in-flight and
+        Optional shared :class:`~repro.runtime.cache.ResultCache` (it is
+        thread-safe); ``None`` still coalesces in-flight and
         in-batch duplicates, it just cannot answer repeats across batches.
     registry:
         Optional :class:`~repro.service.metrics.MetricsRegistry` built by
@@ -71,13 +59,11 @@ class ServicePlanner:
         skips instrumentation (library / test use).
     jobs:
         Worker processes for computing groups (``1`` = in-thread, the
-        reference path).
-    group_retries:
-        How many times a group is re-submitted after the worker pool
-        breaks underneath it (crashed / OOM-killed worker).  Each break
-        disposes and recreates the pool; once the budget is exhausted the
-        affected requests fail with a retryable 503 (``pool-crashed``)
-        while every other group's results are delivered normally.
+        reference path; a batch of one group also runs in-thread).  A group
+        whose worker keeps dying (crashed / OOM-killed) is quarantined
+        after :func:`~repro.runtime.parallel.parallel_map`'s retries: its
+        requests fail with a retryable 503 (``pool-crashed``) while every
+        other group's results are delivered normally.
     schedule_memory:
         Bound of the in-memory schedule LRU.  Outcomes persist to the disk
         cache, but schedules (order + checkpoint set) are only kept here:
@@ -90,18 +76,16 @@ class ServicePlanner:
         cache: ResultCache | None = None,
         registry: MetricsRegistry | None = None,
         jobs: int | None = 1,
-        group_retries: int = 1,
         schedule_memory: int = 512,
     ) -> None:
         self.cache = cache
         self.registry = registry
-        self.jobs = resolve_jobs(jobs)
-        self.group_retries = max(0, int(group_retries))
         self._schedules = LRUCache(maxsize=schedule_memory)
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
-        self._pool: Any = None
-        self._pool_lock = threading.Lock()
+        self._pool = WorkerPool(jobs)
+        self._pool_counts_seen: dict[str, int] = {}
+        self._pool_counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Metrics plumbing
@@ -109,6 +93,19 @@ class ServicePlanner:
     def _inc(self, name: str, amount: float = 1.0) -> None:
         if self.registry is not None:
             self.registry.get(name).inc(amount)
+
+    def _sync_pool_counters(self) -> None:
+        """Fold the worker pool's lifetime counts into the metrics registry."""
+        snapshot = {
+            "repro_pool_crashes_total": self._pool.resets,
+            "repro_solve_retries_total": self._pool.resent,
+        }
+        with self._pool_counts_lock:
+            for name, total in snapshot.items():
+                seen = self._pool_counts_seen.get(name, 0)
+                if total > seen:
+                    self._inc(name, total - seen)
+                    self._pool_counts_seen[name] = total
 
     def cache_hit_rate(self) -> float:
         """Lifetime hit rate of the shared cache (0.0 without a cache)."""
@@ -226,86 +223,57 @@ class ServicePlanner:
         planned: Sequence[PlannedUnit | None],
         results: list[Any],
     ) -> None:
-        if not groups:
-            return
-        items = [
-            (indices, tuple(planned[i] for i in indices))
-            for indices in groups.values()
-        ]
-        computed: dict[int, Any] = {}
-        remaining = list(range(len(items)))
-        attempt = 1
-        while remaining:
-            # Re-acquire each round: a broken pool is disposed below, so the
-            # retry round gets a freshly forked set of workers.
-            executor = self._executor() if len(items) > 1 else None
-            broken: list[int] = []
-            crash: BaseException | None = None
-            if executor is None:
-                for item_index in remaining:
-                    try:
-                        computed[item_index] = _solve_service_group(
-                            items[item_index][1], attempt
-                        )
-                    except BrokenProcessPool as exc:
-                        broken.append(item_index)
-                        crash = exc
-                    except Exception as exc:  # noqa: BLE001 - reported per unit
-                        computed[item_index] = exc
+        members = list(groups.values())
+
+        def on_result(position: int, solved: SolvedGroup) -> None:
+            indices = members[position]
+            # A computed group made one sweep pass.
+            self._inc("repro_solve_sweep_passes_total")
+            self._inc("repro_solve_evaluations_total", solved.evaluations)
+            self._inc("repro_solve_computed_total", len(indices))
+            for index, outcome, schedule in zip(
+                indices, solved.outcomes, solved.schedules
+            ):
+                key = planned[index].key
+                if self.cache is not None:
+                    self.cache.put(key, outcome)
+                self._schedules.put(key, schedule)
+                self._resolve_inflight(key, value=(outcome, schedule))
+                results[index] = self._response(
+                    requests[index], key, outcome, schedule, source="computed"
+                )
+
+        def on_failure(failure: WorkerFailure) -> None:
+            indices = members[failure.unit_index]
+            error: Exception
+            if failure.kind == "error":
+                # The group's own exception (a worker's, when it pickled).
+                cause = failure.__cause__
+                error = cause if isinstance(cause, Exception) else failure
             else:
-                futures = {
-                    item_index: executor.submit(
-                        _solve_service_group, items[item_index][1], attempt
-                    )
-                    for item_index in remaining
-                }
-                for item_index, future in futures.items():
-                    try:
-                        computed[item_index] = future.result()
-                    except BrokenProcessPool as exc:
-                        broken.append(item_index)
-                        crash = exc
-                    except Exception as exc:  # noqa: BLE001 - reported per unit
-                        computed[item_index] = exc
-            if not broken:
-                break
-            self._inc("repro_pool_crashes_total")
-            self._heal_pool()
-            if attempt > self.group_retries:
                 error = ServiceError(
                     "solve worker pool crashed; retry shortly",
                     status=503,
                     code="pool-crashed",
                 )
-                error.__cause__ = crash
-                for item_index in broken:
-                    computed[item_index] = error
-                break
-            self._inc("repro_solve_retries_total", len(broken))
-            remaining = broken
-            attempt += 1
-        for item_index, (indices, plans) in enumerate(items):
-            solved = computed[item_index]
-            if isinstance(solved, Exception):
-                self._inc("repro_solve_errors_total", len(indices))
-                for index, plan in zip(indices, plans):
-                    results[index] = solved
-                    self._resolve_inflight(plan.key, error=solved)
-                continue
-            # A computed group made one sweep pass.
-            self._inc("repro_solve_sweep_passes_total")
-            self._inc("repro_solve_evaluations_total", solved.evaluations)
-            self._inc("repro_solve_computed_total", len(indices))
-            for index, plan, outcome, schedule in zip(
-                indices, plans, solved.outcomes, solved.schedules
-            ):
-                if self.cache is not None:
-                    self.cache.put(plan.key, outcome)
-                self._schedules.put(plan.key, schedule)
-                self._resolve_inflight(plan.key, value=(outcome, schedule))
-                results[index] = self._response(
-                    requests[index], plan.key, outcome, schedule, source="computed"
-                )
+                error.__cause__ = failure
+            self._inc("repro_solve_errors_total", len(indices))
+            for index in indices:
+                results[index] = error
+                self._resolve_inflight(planned[index].key, error=error)
+
+        try:
+            parallel_map(
+                solve_group,
+                [tuple(planned[index] for index in indices) for indices in members],
+                pool=self._pool,
+                on_result=on_result,
+                on_failure=on_failure,
+                quarantine=True,
+                retry_backoff=0.0,
+            )
+        finally:
+            self._sync_pool_counters()
 
     def _resolve_inflight(
         self, key: str, *, value: Any = None, error: Exception | None = None
@@ -413,33 +381,6 @@ class ServicePlanner:
             ]
         return payload
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _executor(self):
-        if self.jobs <= 1:
-            return None
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            return self._pool
-
-    def _heal_pool(self) -> None:
-        """Dispose a (possibly broken) pool so the next round forks anew.
-
-        ``dispose_executor`` also terminates worker processes outright —
-        ``shutdown`` alone would hang on a wedged worker.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            dispose_executor(pool)
-
     def close(self) -> None:
         """Shut down the worker pool (if one was started)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
+        self._pool.close()

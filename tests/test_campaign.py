@@ -210,6 +210,22 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             CampaignSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"families": ("montage", "ligo", "montage")}, "family 'montage'"),
+            ({"sizes": (30, 60, 30)}, "size 30"),
+            ({"seeds": (0, 0)}, "seed 0"),
+            ({"heuristics": ("DF-CkptW", "DF-CkptW")}, "heuristic 'DF-CkptW'"),
+            ({"downtimes": (0, 30.0, 0.0)}, "downtime 0.0"),
+            ({"processors": (1, 4, 4)}, "processor count 4"),
+        ],
+    )
+    def test_constructor_refuses_a_repeated_axis_value(self, kwargs, message):
+        # A repeat would aggregate one instance as several.
+        with pytest.raises(ValueError, match=re.escape(f"{message} is given more than once")):
+            CampaignSpec(**kwargs)
+
     def test_a_payload_is_revalidated(self):
         payload = CampaignSpec().to_payload() | {"families": ["nonsense"]}
         with pytest.raises(ValueError, match="no default failure rate"):

@@ -9,8 +9,10 @@ through the ``REPRO_FAULTS`` registry (:mod:`repro.runtime.faults`):
   headline contract: a crashed-then-resumed campaign renders byte-identical
   to an uninterrupted one (in-process here, via SIGKILL in CI);
 * disk-cache corruption — quarantine-and-rebuild on open and mid-session;
-* service degradation — a broken worker pool answers 503 + ``Retry-After``
-  and self-heals, per-request budgets map to 503 ``timeout``.
+* service degradation — a group that keeps crashing its worker answers
+  503 ``pool-crashed`` while the rest of its batch answers, a transient
+  crash is retried within the batch, a killed pool worker leaves the daemon
+  serving, and per-request budgets map to 503 ``timeout``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -620,54 +624,166 @@ class TestServiceChaos:
             "family": "montage", "n_tasks": 12, "seed": 3, "heuristic": "DF-CkptW",
         }
 
-    def test_pool_crash_answers_503_with_retry_after_then_heals(self, monkeypatch):
-        from repro.service import BackgroundServer, ServiceConfig
+    @staticmethod
+    def _two_instance_batch(seeds=(3, 4)):
+        """Two requests of different instances: a batch of two groups."""
+        from repro.service.schema import parse_solve_request
 
-        config = ServiceConfig(port=0, workers=1, group_retries=0)
-        with BackgroundServer(config) as server:
-            monkeypatch.setenv(FAULTS_ENV, "service_group:raise=BrokenProcessPool")
-            status, payload, headers = self._request(
-                server.port, "POST", "/v1/solve", self._solve_payload()
+        return [
+            parse_solve_request(
+                {"family": "montage", "n_tasks": 12, "seed": seed, "heuristic": "DF-CkptW"}
             )
-            assert status == 503
-            assert payload["error"]["code"] == "pool-crashed"
-            assert headers.get("Retry-After") == "1"
+            for seed in seeds
+        ]
 
+    @staticmethod
+    def _planner(jobs):
+        from repro.service.metrics import build_service_registry
+        from repro.service.planner import ServicePlanner
+
+        registry = build_service_registry()
+        return ServicePlanner(registry=registry, jobs=jobs), registry
+
+    def test_transient_pool_crash_is_retried_within_the_batch(self, monkeypatch):
+        serial, _ = self._planner(1)
+        expected = serial.solve_batch(self._two_instance_batch())
+        # Group 1 kills its worker on the first attempt only; the retry
+        # answers it, so the batch equals the in-thread planner's.
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:unit=1,attempt=1")
+        planner, registry = self._planner(2)
+        try:
+            payloads = planner.solve_batch(self._two_instance_batch())
+        finally:
+            planner.close()
+        assert payloads == expected
+        assert registry.get("repro_pool_crashes_total").value() > 0
+        assert registry.get("repro_solve_retries_total").value() > 0
+
+    def test_batch_threads_share_the_pool_through_crashes(self, monkeypatch):
+        from repro.service.schema import ServiceError
+
+        # Three batch threads (more than this host's cores) share one
+        # two-worker pool while each batch's group 1 crashes its worker
+        # once; every crash breaks the others' work too.
+        batches = [self._two_instance_batch(seeds) for seeds in ((3, 4), (5, 6), (7, 8))]
+        serial, _ = self._planner(1)
+        expected = [serial.solve_batch(batch) for batch in batches]
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:unit=1,attempt=1")
+        planner, registry = self._planner(2)
+        answers: list = [None] * len(batches)
+
+        def run(slot):
+            answers[slot] = planner.solve_batch(batches[slot])
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            planner.close()
+        # Each request gets its own payload.  A crash is blamed on a group
+        # that ran alone in its own batch, so a group can be charged for
+        # another batch's crash: then it fails as pool-crashed, never with
+        # a wrong answer.
+        for got, want in zip(answers, expected):
+            for answer, payload in zip(got, want):
+                assert answer == payload or (
+                    isinstance(answer, ServiceError) and answer.code == "pool-crashed"
+                ), answer
+        # Every reset and re-send reached the metrics exactly once.
+        pool = planner._pool
+        assert registry.get("repro_pool_crashes_total").value() == pool.resets > 0
+        assert registry.get("repro_solve_retries_total").value() == pool.resent > 0
+
+    def test_poison_group_fails_only_its_own_requests(self, monkeypatch):
+        from repro.service.schema import ServiceError
+
+        monkeypatch.setenv(FAULTS_ENV, "worker_crash:unit=1")
+        planner, _ = self._planner(2)
+        try:
+            answered, poisoned = planner.solve_batch(self._two_instance_batch())
             monkeypatch.delenv(FAULTS_ENV)
-            status, payload, _ = self._request(
-                server.port, "POST", "/v1/solve", self._solve_payload()
-            )
-            assert status == 200  # self-healed, no restart
-            assert payload["expected_makespan"] > 0
+            healed = planner.solve_batch(self._two_instance_batch())
+        finally:
+            planner.close()
+        assert answered["seed"] == 3 and answered["expected_makespan"] > 0
+        assert isinstance(poisoned, ServiceError)
+        assert (poisoned.status, poisoned.code) == (503, "pool-crashed")
+        # The quarantine reset the pool: the next batch forks fresh workers.
+        assert [payload["seed"] for payload in healed] == [3, 4]
 
-            _, metrics, _ = self._request(server.port, "GET", "/metrics")
-            assert "repro_pool_crashes_total 1" in metrics
+    @staticmethod
+    def _child_pids(pid):
+        children = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):
+                continue  # the process is gone
+            if int(fields[1]) == pid:
+                children.append(int(stat.parent.name))
+        return sorted(children)
 
-    def test_pool_crash_is_retried_within_the_request(self, monkeypatch):
-        from repro.service import BackgroundServer, ServiceConfig
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="finds pool workers through /proc"
+    )
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+    def test_a_killed_pool_worker_leaves_the_daemon_serving(self, tmp_path, signum):
+        from concurrent.futures import ThreadPoolExecutor
 
-        config = ServiceConfig(port=0, workers=1, group_retries=1)
-        with BackgroundServer(config) as server:
-            # Only the first attempt of the group crashes; the in-request
-            # retry (attempt=2) succeeds, so the client sees a plain 200.
-            monkeypatch.setenv(
-                FAULTS_ENV, "service_group:raise=BrokenProcessPool,attempt=1"
+        def solve_two_instances(port):
+            with ThreadPoolExecutor(max_workers=2) as clients:
+                answers = clients.map(
+                    lambda seed: self._request(
+                        port, "POST", "/v1/solve", {**self._solve_payload(), "seed": seed}
+                    ),
+                    (3, 4),
+                )
+                return [status for status, _, _ in answers]
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env.pop(FAULTS_ENV, None)
+        with open(tmp_path / "serve.log", "w") as log:
+            daemon = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--jobs", "2", "--batch-window", "1"],
+                env=env, stdout=subprocess.PIPE, stderr=log, text=True,
             )
-            status, payload, _ = self._request(
-                server.port, "POST", "/v1/solve", self._solve_payload()
-            )
-            assert status == 200
-            assert payload["expected_makespan"] > 0
-            _, metrics, _ = self._request(server.port, "GET", "/metrics")
-            assert "repro_solve_retries_total 1" in metrics
-            assert "repro_pool_crashes_total 1" in metrics
+        try:
+            port = int(daemon.stdout.readline().rsplit(":", 1)[1])
+            # One batch of two groups starts both pool workers.
+            assert solve_two_instances(port) == [200, 200]
+            workers = self._child_pids(daemon.pid)
+            assert len(workers) == 2
+            os.kill(workers[0], signum)
+            time.sleep(1.0)
+            assert daemon.poll() is None, (tmp_path / "serve.log").read_text()
+            status, payload, _ = self._request(port, "GET", "/healthz")
+            assert (status, payload["status"]) == (200, "ok")
+            assert solve_two_instances(port) == [200, 200]
+        finally:
+            daemon.send_signal(signal.SIGINT)
+            try:
+                daemon.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
+        assert daemon.returncode == 0
 
     def test_request_timeout_maps_to_503_timeout(self, monkeypatch):
         from repro.service import BackgroundServer, ServiceConfig
 
         config = ServiceConfig(port=0, workers=1, request_timeout=0.2)
         with BackgroundServer(config) as server:
-            monkeypatch.setenv(FAULTS_ENV, "service_group:sleep=2,times=1")
+            monkeypatch.setenv(FAULTS_ENV, "chunk_timeout:sleep=2,times=1")
             status, payload, headers = self._request(
                 server.port, "POST", "/v1/solve", self._solve_payload()
             )

@@ -12,7 +12,7 @@ from repro import (
     solve_all_heuristics,
     solve_heuristic,
 )
-from repro.heuristics import best_heuristic, linearize, parse_heuristic_name
+from repro.heuristics import best_heuristic, linearize, parse_heuristic_name, solve_on_sweep
 from repro.workflows import pegasus
 
 #: lambda = 0, then lambda > 0 without and with a downtime.
@@ -146,42 +146,13 @@ class TestEvaluationIsTheOneShot:
                 ), (name, platform)
 
 
-class TestSweepGuard:
-    """A passed sweep must be over the solve's own instance and linearization."""
-
-    @pytest.fixture(params=["DF-CkptW", "DF-CkptNvr"])
-    def heuristic(self, request):
-        return request.param
-
-    def test_matching_sweep_gives_the_plain_result(self, workflow, platform, heuristic):
+class TestSolveOnSweep:
+    def test_one_sweep_serves_every_heuristic_of_its_linearization(
+        self, workflow, platform
+    ):
         sweep = SweepState(workflow, linearize(workflow, "DF"), platform)
-        shared = solve_heuristic(workflow, platform, heuristic, sweep=sweep)
-        assert shared == solve_heuristic(workflow, platform, heuristic)
-        assert sweep.stats.evaluations > 0
-
-    def test_rejects_another_order(self, workflow, platform, heuristic):
-        order = linearize(workflow, "BF")
-        assert order != linearize(workflow, "DF")
-        sweep = SweepState(workflow, order, platform)
-        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
-            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
-
-    def test_rejects_another_platform(self, workflow, platform, heuristic):
-        other = Platform.from_platform_rate(2e-3)
-        sweep = SweepState(workflow, linearize(workflow, "DF"), other)
-        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
-            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
-
-    def test_rejects_another_workflow_object(self, workflow, platform, heuristic):
-        twin = pegasus.cybershake(30, seed=11).with_checkpoint_costs(
-            mode="proportional", factor=0.1
-        )
-        assert twin is not workflow
-        sweep = SweepState(twin, linearize(twin, "DF"), platform)
-        with pytest.raises(ValueError, match="another workflow, linearization or platform"):
-            solve_heuristic(workflow, platform, heuristic, sweep=sweep)
-
-    def test_rejects_backend_with_sweep(self, workflow, platform, heuristic):
-        sweep = SweepState(workflow, linearize(workflow, "DF"), platform, backend="numpy")
-        with pytest.raises(ValueError, match="not both"):
-            solve_heuristic(workflow, platform, heuristic, backend="numpy", sweep=sweep)
+        for name in HEURISTIC_NAMES:
+            if name.startswith("DF-"):
+                assert solve_on_sweep(sweep, name) == solve_heuristic(
+                    workflow, platform, name
+                ), name

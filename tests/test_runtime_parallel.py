@@ -9,10 +9,15 @@ import pytest
 
 from repro.runtime import (
     WorkerFailure,
+    WorkerPool,
     deterministic_chunksize,
     parallel_map,
     resolve_jobs,
 )
+
+
+def _pid(_item: object) -> int:
+    return os.getpid()
 
 
 class TestResolveJobs:
@@ -94,3 +99,45 @@ class TestParallelMap:
     def test_worker_count_never_exceeds_items(self):
         # jobs=8 with 2 items must still work (pool sized down to 2).
         assert parallel_map(str.upper, ["x", "y"], jobs=8) == ["X", "Y"]
+
+
+class TestWorkerPool:
+    def test_the_pool_alone_sets_the_worker_count(self):
+        pool = WorkerPool(2)
+        try:
+            # jobs is ignored: two workers, so the items leave this process.
+            assert os.getpid() not in parallel_map(_pid, range(4), jobs=1, pool=pool)
+        finally:
+            pool.close()
+        # And one worker means the serial path, whatever jobs says.
+        assert set(parallel_map(_pid, range(4), jobs=4, pool=WorkerPool(1))) == {
+            os.getpid()
+        }
+
+    def test_workers_outlive_a_call_until_close(self):
+        pool = WorkerPool(2)
+        try:
+            assert parallel_map(math.sqrt, [4.0, 9.0], pool=pool) == [2.0, 3.0]
+            executor = pool.executor()
+            assert parallel_map(math.sqrt, [16.0, 25.0], pool=pool) == [4.0, 5.0]
+            assert pool.executor() is executor
+        finally:
+            pool.close()
+        assert pool.executor() is not executor  # closed: starts anew
+        pool.close()
+
+    def test_reset_disposes_only_the_executor_the_caller_saw(self):
+        pool = WorkerPool(2)
+        try:
+            broken = pool.executor()
+            pool.reset(broken)
+            rebuilt = pool.executor()
+            assert rebuilt is not broken
+            # A second caller that saw the same executor break must not
+            # dispose the one the first caller already rebuilt.
+            pool.reset(broken)
+            assert pool.executor() is rebuilt
+            assert pool.resets == 1
+            assert parallel_map(math.sqrt, [4.0, 9.0], pool=pool) == [2.0, 3.0]
+        finally:
+            pool.close()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SweepState, solve_heuristic
+from repro import solve_heuristic
 from repro.experiments.scenarios import build_workflow
 from repro.heuristics.registry import heuristic_rng
 from repro.heuristics.search import candidate_counts
@@ -62,28 +62,6 @@ def direct_solve(request):
         counts=counts,
         backend=request.backend,
     )
-
-
-class TestSharedSweep:
-    def test_order_guard_rejects_mismatched_sweep(self):
-        request = parse_solve_request(solve_payload(heuristic="DF-CkptW"))
-        workflow = build_workflow(request.scenario)
-        from repro.heuristics.linearization import linearize
-
-        bf_order = linearize(workflow, "BF")
-        df_order = linearize(workflow, "DF")
-        if bf_order == df_order:
-            pytest.skip("families where DF == BF cannot exercise the guard")
-        sweep = SweepState(workflow, bf_order, request.scenario.platform)
-        with pytest.raises(ValueError, match="another workflow, linearization"):
-            solve_heuristic(
-                workflow,
-                request.scenario.platform,
-                "DF-CkptW",
-                rng=heuristic_rng(request.scenario.seed, "DF-CkptW"),
-                counts=candidate_counts(workflow.n_tasks, mode="exhaustive"),
-                sweep=sweep,
-            )
 
 
 class TestBitIdentity:
