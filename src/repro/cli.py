@@ -1024,8 +1024,6 @@ def _cmd_fabric_coordinate(args: argparse.Namespace) -> int:
     spec = _campaign_spec(args, args.shards)
     _check_output_paths(args.output, args.report, args.metrics_output)
     journal_path = _journal_path(args)
-    # Lazy import: the fabric layer pulls in the service metrics registry,
-    # which no other sub-command needs.
     from .experiments.fabric import FabricCoordinator
 
     coordinator = FabricCoordinator(
@@ -1077,7 +1075,7 @@ def _cmd_fabric_coordinate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fabric_work(args: argparse.Namespace) -> int:
-    from .experiments.fabric import FabricError, FabricWorker
+    from .experiments.fabric import FabricWorker
 
     resolve_jobs(args.jobs)  # reject a bad --jobs before dialing out
     worker = FabricWorker(
@@ -1089,11 +1087,7 @@ def _cmd_fabric_work(args: argparse.Namespace) -> int:
         poll=args.poll,
         on_event=lambda message: print(message, file=sys.stderr, flush=True),
     )
-    try:
-        completed = worker.run(max_shards=args.max_shards)
-    except FabricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    completed = worker.run(max_shards=args.max_shards)
     print(f"completed {completed} shard(s)")
     return 0
 

@@ -112,21 +112,13 @@ __all__ = [
     "scenario_grid",
     "series_by_heuristic",
     "SHARD_MARKER_PREFIX",
-    "ControlClient",
     "FabricCoordinator",
-    "FabricError",
     "FabricWorker",
 ]
 
-#: Lazily re-exported from :mod:`repro.experiments.fabric`: the fabric layer
-#: pulls in :mod:`repro.service` (for its metrics registry), which the rest
-#: of the experiments package deliberately avoids importing eagerly.
-_FABRIC_EXPORTS = {
-    "ControlClient",
-    "FabricCoordinator",
-    "FabricError",
-    "FabricWorker",
-}
+#: Lazily re-exported from :mod:`repro.experiments.fabric`: only ``repro
+#: fabric`` needs the fabric layer, so every other command skips loading it.
+_FABRIC_EXPORTS = {"FabricCoordinator", "FabricWorker"}
 
 
 def __getattr__(name: str) -> object:

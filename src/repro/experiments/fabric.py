@@ -9,10 +9,12 @@ with the robustness layer the single-process runtime cannot provide:
   through :class:`~repro.runtime.leases.LeaseQueue` — dead or stalled
   workers are detected by lease expiry and their shards reassigned, with
   bounded-attempt poison-shard quarantine;
-* **workers** (:class:`FabricWorker`) request leases over a JSON-lines TCP
-  control plane, renew them from a heartbeat thread, run their shard through
-  the ordinary :func:`~repro.experiments.campaign.run_campaign`, and ship
-  the resulting rows back as CSV text;
+* **workers** (:class:`FabricWorker`) request leases over the JSON-lines
+  transport of :mod:`repro.runtime.rpc`, renew them from a heartbeat
+  thread, run their shard through the ordinary
+  :func:`~repro.experiments.campaign.run_campaign`, ship the resulting rows
+  back as CSV text, and exit once the coordinator says the campaign is
+  finished;
 * shard completions are journaled into the PR 7
   :class:`~repro.runtime.journal.CampaignJournal` (keyed by
   :func:`~repro.runtime.keys.fabric_shard_key`), so ``--resume`` after a
@@ -31,38 +33,28 @@ byte-identical to a serial unsharded run, whatever died along the way.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
-import socketserver
 import threading
 import time
 from typing import Any, Callable
 
+from ..obs import MetricsRegistry
 from ..runtime.cache import ResultCache
-from ..runtime.cachenet import (
-    CacheNetClient,
-    CircuitBreaker,
-    FallbackResultCache,
-    parse_address,
-    read_message,
-    write_message,
-)
+from ..runtime.cachenet import CacheNetClient, CircuitBreaker, FallbackResultCache
 from ..runtime.faults import fault_point
 from ..runtime.journal import CampaignJournal
 from ..runtime.keys import fabric_shard_key
-from ..runtime.leases import POISON, LeaseQueue, ShardLease
+from ..runtime.leases import PENDING, POISON, LeaseQueue, ShardLease
 from ..runtime.retry import RetryPolicy
-from ..service.metrics import MetricsRegistry, build_fabric_registry
+from ..runtime.rpc import POLL_INTERVAL, RpcClient, RpcError, RpcServer
 from .campaign import CampaignResult, CampaignSpec, run_campaign
 from .harness import ResultRow
 from .reporting import rows_from_csv, rows_to_csv
 
 __all__ = [
-    "FabricError",
     "FabricCoordinator",
     "FabricWorker",
-    "ControlClient",
     "FABRIC_PROTOCOL_VERSION",
 ]
 
@@ -70,129 +62,86 @@ __all__ = [
 FABRIC_PROTOCOL_VERSION = 1
 
 
-class FabricError(RuntimeError):
-    """A fabric control-plane operation failed for good."""
+def build_fabric_registry(
+    queue: LeaseQueue, *, breaker_open: Callable[[], float]
+) -> MetricsRegistry:
+    """The coordinator's metric set (names are the public contract).
 
-
-# ----------------------------------------------------------------------
-# Control-plane client (shared by workers and tests)
-# ----------------------------------------------------------------------
-class ControlClient:
-    """JSON-lines client of the coordinator with per-op timeout + retries."""
-
-    def __init__(
-        self,
-        address: str | tuple[str, int],
-        *,
-        timeout: float = 10.0,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        self.address = parse_address(address) if isinstance(address, str) else address
-        self.timeout = float(timeout)
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=5, base_delay=0.05, max_delay=2.0, jitter=0.5
-        )
-        self._sock: socket.socket | None = None
-        self._rfile: Any = None
-        self._lock = threading.Lock()
-
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(self.address, timeout=self.timeout)
-            sock.settimeout(self.timeout)
-            self._sock = sock
-            self._rfile = sock.makefile("rb")
-        return self._sock
-
-    def _disconnect(self) -> None:
-        for closer in (self._rfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._rfile = None
-        self._sock = None
-
-    def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """One request/response round-trip; transport failures are retried."""
-        with self._lock:
-            failures = 0
-            while True:
-                try:
-                    sock = self._connect()
-                    sock.sendall(
-                        json.dumps(payload, separators=(",", ":")).encode("utf-8")
-                        + b"\n"
-                    )
-                    response = read_message(self._rfile)
-                except (OSError, TimeoutError) as exc:
-                    self._disconnect()
-                    failures += 1
-                    if failures >= self.retry.max_attempts:
-                        raise FabricError(
-                            f"coordinator {self.address[0]}:{self.address[1]} "
-                            f"unreachable after {failures} attempt(s): "
-                            f"{type(exc).__name__}: {exc}"
-                        ) from exc
-                    self.retry.sleep(failures)
-                    continue
-                if response is None:
-                    self._disconnect()
-                    failures += 1
-                    if failures >= self.retry.max_attempts:
-                        raise FabricError("coordinator closed the connection")
-                    self.retry.sleep(failures)
-                    continue
-                if not response.get("ok"):
-                    raise FabricError(
-                        f"coordinator rejected {payload.get('op')}: "
-                        f"{response.get('error', 'unknown error')}"
-                    )
-                return response
-
-    def close(self) -> None:
-        with self._lock:
-            self._disconnect()
+    The lease-lifecycle counters (grants, renewals, expirations,
+    reassignments, quarantines, completions) and the gauges read ``queue``
+    at scrape time; the cache-net counters are fed by worker completion
+    reports.
+    """
+    registry = MetricsRegistry()
+    registry.counter(
+        "repro_fabric_leases_granted_total",
+        "Shard leases granted to workers.",
+        callback=lambda: queue.granted,
+    )
+    registry.counter(
+        "repro_fabric_lease_renewals_total",
+        "Lease renewals (worker heartbeats).",
+        callback=lambda: queue.renewals,
+    )
+    registry.counter(
+        "repro_fabric_lease_expirations_total",
+        "Leases that expired without completion (dead or stalled worker).",
+        callback=lambda: queue.expirations,
+    )
+    registry.counter(
+        "repro_fabric_shard_reassignments_total",
+        "Shards returned to the pending pool for another worker.",
+        callback=lambda: queue.reassignments,
+    )
+    registry.counter(
+        "repro_fabric_shards_poisoned_total",
+        "Shards quarantined after exhausting their grant budget.",
+        callback=lambda: queue.poisonings,
+    )
+    registry.counter(
+        "repro_fabric_shards_completed_total",
+        "Shards completed and journaled.",
+        callback=lambda: queue.completions,
+    )
+    registry.counter(
+        "repro_fabric_cache_net_retries_total",
+        "Cache-net transport retries reported by workers.",
+    )
+    registry.counter(
+        "repro_fabric_cache_degradations_total",
+        "Worker shard runs that finished with the cache circuit open "
+        "(served by the local cache only).",
+    )
+    registry.gauge(
+        "repro_fabric_active_leases",
+        "Shard leases currently held by workers.",
+        callback=lambda: queue.active_leases,
+    )
+    registry.gauge(
+        "repro_fabric_pending_shards",
+        "Shards waiting for a worker.",
+        callback=lambda: sum(
+            1 for state in queue.snapshot().values() if state[0] == PENDING
+        ),
+    )
+    registry.gauge(
+        "repro_fabric_cache_breaker_open",
+        "1 while the most recent worker report had its cache circuit open.",
+        callback=breaker_open,
+    )
+    return registry
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-class _FabricRequestHandler(socketserver.StreamRequestHandler):
-    server: "_FabricTCPServer"
-
-    def handle(self) -> None:
-        while True:
-            try:
-                request = read_message(self.rfile)
-            except (OSError, ValueError):
-                return
-            if request is None:
-                return
-            try:
-                response = self.server.coordinator._dispatch(request)
-            except Exception as exc:
-                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                write_message(self.wfile, response)
-            except OSError:
-                return
-
-
-class _FabricTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self, address: tuple[str, int], coordinator: "FabricCoordinator"
-    ) -> None:
-        super().__init__(address, _FabricRequestHandler)
-        self.coordinator = coordinator
-
-
-class FabricCoordinator:
+class FabricCoordinator(RpcServer):
     """Own one fabric campaign: lease shards out, collect rows, merge.
+
+    The coordinator is the control plane's
+    :class:`~repro.runtime.rpc.RpcServer`: :meth:`start` serves it from a
+    thread, :meth:`serve` blocks until the campaign is over, and
+    :meth:`stop` cuts every worker off as a crash would.
 
     Parameters
     ----------
@@ -216,9 +165,6 @@ class FabricCoordinator:
         out of the spec and the journal keys, yet backends agree only
         within 1e-9, not bit for bit: the merged report matches a serial
         run byte for byte only when both resolve to the same backend.
-    registry:
-        Optional :class:`MetricsRegistry`; defaults to a fresh
-        :func:`build_fabric_registry` wired to the lease queue.
     """
 
     def __init__(
@@ -232,14 +178,11 @@ class FabricCoordinator:
         journal: CampaignJournal | str | os.PathLike[str] | None = None,
         cache_endpoint: str | None = None,
         backend: str | None = None,
-        registry: MetricsRegistry | None = None,
-        sweep_interval: float = 0.05,
     ) -> None:
         self.spec = spec
         self.ttl = float(ttl)
         self.cache_endpoint = cache_endpoint
         self.backend = backend
-        self.sweep_interval = float(sweep_interval)
         self.queue = LeaseQueue(spec.n_shards, ttl=ttl, max_attempts=max_attempts)
         self.journal = (
             journal
@@ -249,49 +192,31 @@ class FabricCoordinator:
         self._spec_digest = spec.content_digest()
         self._rows_csv: dict[int, str] = {}
         self._lock = threading.Lock()
-        self._counters_seen: dict[str, int] = {}
+        # Worker -> clock time of its last request, and the workers told
+        # the campaign is finished (see serve()).
+        self._last_heard: dict[str, float] = {}
+        self._told_finished: set[str] = set()
         self._last_report_degraded = False
-        self.registry = registry if registry is not None else build_fabric_registry(
-            active_leases=lambda: float(self.queue.active_leases),
-            pending_shards=lambda: float(
-                sum(1 for s in self.queue.snapshot().values() if s[0] == "pending")
-            ),
+        self.registry = build_fabric_registry(
+            self.queue,
             breaker_open=lambda: 1.0 if self._last_report_degraded else 0.0,
         )
         self._replay_journal()
-        self._server = _FabricTCPServer((host, port), self)
-        self._server_thread: threading.Thread | None = None
+        super().__init__(self._dispatch, host=host, port=port, name="repro-fabric")
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "FabricCoordinator":
-        """Serve the control plane from a background thread; returns self."""
-        thread = threading.Thread(
-            # A tight poll keeps shutdown() latency (and thus the cost of a
-            # short-lived coordinator) well under socketserver's 0.5s default.
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="repro-fabric",
-            daemon=True,
-        )
-        thread.start()
-        self._server_thread = thread
-        return self
-
     def serve(self, *, timeout: float | None = None) -> None:
-        """Block until every shard is done or poisoned (then stop serving).
+        """Block until every shard is done or poisoned, then stop serving.
 
-        ``timeout`` bounds the wait in seconds — with no live workers a
-        lease-based queue would otherwise wait forever for a reassignment
-        that never comes.
+        Before it stops, the coordinator keeps answering until every worker
+        heard from within the last ``ttl`` has been told the campaign is
+        finished, for at most one more ``ttl``: a polling worker cannot tell
+        a coordinator that stopped from one that crashed.  A worker that
+        died earlier is not waited for.
+
+        ``timeout`` bounds the wait for the shards in seconds — with no
+        live workers a lease-based queue would otherwise wait forever for a
+        reassignment that never comes.
         """
         deadline = time.monotonic() + timeout if timeout is not None else None
         try:
@@ -301,25 +226,25 @@ class FabricCoordinator:
                         f"fabric campaign did not finish within {timeout}s "
                         f"(shards: {self.queue.snapshot()})"
                     )
-                time.sleep(self.sweep_interval)
+                time.sleep(POLL_INTERVAL)
                 self.queue.expire()
-                self._sync_counters()
+            settled = time.monotonic()
+            while self._workers_not_told() and time.monotonic() - settled < self.ttl:
+                time.sleep(POLL_INTERVAL)
         finally:
-            self._sync_counters()
             self.stop()
 
-    def stop(self) -> None:
-        """Stop the control plane (idempotent); the journal stays open."""
-        try:
-            self._server.shutdown()
-            self._server.server_close()
-        except OSError:  # pragma: no cover - double close on teardown paths
-            pass
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=5.0)
-            self._server_thread = None
+    def _workers_not_told(self) -> bool:
+        """Has a worker heard from within the last ``ttl`` not been told?"""
+        horizon = time.monotonic() - self.ttl
+        with self._lock:
+            return any(
+                heard > horizon and worker not in self._told_finished
+                for worker, heard in self._last_heard.items()
+            )
 
     def close(self) -> None:
+        """Stop the control plane and close the journal."""
         self.stop()
         if self.journal is not None:
             self.journal.close()
@@ -348,6 +273,9 @@ class FabricCoordinator:
     def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
         worker = str(request.get("worker", "?"))
+        if "worker" in request:
+            with self._lock:
+                self._last_heard[worker] = time.monotonic()
         if op == "hello":
             return {
                 "ok": True,
@@ -361,9 +289,12 @@ class FabricCoordinator:
             }
         if op == "lease":
             lease = self.queue.grant(worker)
-            self._sync_counters()
             if lease is None:
-                return {"ok": True, "shard": None, "finished": self.queue.finished}
+                finished = self.queue.finished
+                if finished:
+                    with self._lock:
+                        self._told_finished.add(worker)
+                return {"ok": True, "shard": None, "finished": finished}
             return {
                 "ok": True,
                 "shard": lease.shard,
@@ -372,7 +303,6 @@ class FabricCoordinator:
             }
         if op == "renew":
             renewed = self.queue.renew(worker, int(request.get("shard", 0)))
-            self._sync_counters()
             return {"ok": True, "renewed": renewed}
         if op == "complete":
             return self._handle_complete(worker, request)
@@ -388,7 +318,6 @@ class FabricCoordinator:
                         self._shard_key(shard),
                         error if isinstance(error, dict) else {"type": "unknown"},
                     )
-            self._sync_counters()
             return {"ok": True, "state": state}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
@@ -419,25 +348,7 @@ class FabricCoordinator:
             self._last_report_degraded = degraded
             if degraded:
                 self.registry.get("repro_fabric_cache_degradations_total").inc()
-        self._sync_counters()
         return {"ok": True, "accepted": first}
-
-    def _sync_counters(self) -> None:
-        """Fold the queue's lifetime counters into the metrics registry."""
-        snapshot = {
-            "repro_fabric_leases_granted_total": self.queue.granted,
-            "repro_fabric_lease_renewals_total": self.queue.renewals,
-            "repro_fabric_lease_expirations_total": self.queue.expirations,
-            "repro_fabric_shard_reassignments_total": self.queue.reassignments,
-            "repro_fabric_shards_completed_total": self.queue.completions,
-            "repro_fabric_shards_poisoned_total": len(self.queue.poisoned),
-        }
-        with self._lock:
-            for name, total in snapshot.items():
-                seen = self._counters_seen.get(name, 0)
-                if total > seen:
-                    self.registry.get(name).inc(total - seen)
-                    self._counters_seen[name] = total
 
     # -- results -------------------------------------------------------
     @property
@@ -502,7 +413,14 @@ class FabricWorker:
         self.local_cache_path = local_cache_path
         self.backend = backend
         self.poll = float(poll)
-        self.client = ControlClient(coordinator, retry=retry)
+        self.client = RpcClient(
+            coordinator,
+            name="coordinator",
+            timeout=10.0,
+            retry=retry if retry is not None else RetryPolicy(
+                max_attempts=5, base_delay=0.05, max_delay=2.0, jitter=0.5
+            ),
+        )
         self.shards_completed = 0
         self.shards_failed = 0
         self._on_event = on_event
@@ -545,7 +463,7 @@ class FabricWorker:
                     break
                 try:
                     reply = self.client.request({"op": "lease", "worker": self.name})
-                except FabricError:
+                except RpcError:
                     # A rejected lease request (e.g. a coordinator-side
                     # lease_grant fault) is transient: the shard stayed
                     # pending, so back off and ask again — bounded, so a
@@ -600,7 +518,7 @@ class FabricWorker:
                 )
                 if not reply.get("renewed"):
                     return  # lease lost (expired + reassigned); stop beating
-            except FabricError:
+            except RpcError:
                 continue  # transient control-plane outage; keep trying
             except Exception:
                 return

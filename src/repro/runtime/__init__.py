@@ -23,11 +23,9 @@ from __future__ import annotations
 from .cache import CacheStats, DiskCache, LRUCache, ResultCache, read_disk_stats
 from .cachenet import (
     CacheNetClient,
-    CacheNetError,
     CacheNetServer,
     CircuitBreaker,
     FallbackResultCache,
-    parse_address,
 )
 from .keys import (
     ALGO_VERSION,
@@ -65,11 +63,11 @@ from .parallel import (
 )
 from .progress import ConsoleProgress, NullProgress, coerce_progress
 from .retry import RetryPolicy
+from .rpc import RpcError, parse_address
 
 __all__ = [
     "ALGO_VERSION",
     "CacheNetClient",
-    "CacheNetError",
     "CacheNetServer",
     "CacheStats",
     "CampaignJournal",
@@ -84,6 +82,7 @@ __all__ = [
     "PENDING",
     "POISON",
     "RetryPolicy",
+    "RpcError",
     "ShardLease",
     "FAULTS_ENV",
     "JOURNAL_VERSION",

@@ -1,12 +1,10 @@
-"""Remote result cache: a line-protocol client/server over the sqlite store.
+"""Remote result cache: a cache server and client over the sqlite store.
 
 A fabric of worker processes wants one *shared* result cache so that a unit
 paid for by any worker is free for every other one.  sqlite files do not
 span hosts, so this module puts the smallest possible network layer in
-front of :class:`~repro.runtime.cache.DiskCache`: JSON Lines over TCP,
-stdlib ``socket``/``socketserver`` only.
-
-Protocol (one JSON object per line, UTF-8)::
+front of :class:`~repro.runtime.cache.DiskCache`: four operations over the
+JSON-lines transport of :mod:`repro.runtime.rpc`::
 
     -> {"op": "ping"}                      <- {"ok": true, "server": "repro-cachenet", "v": 1}
     -> {"op": "get", "key": K}             <- {"ok": true, "hit": true, "value": V}
@@ -17,25 +15,19 @@ Keys are the content-addressed digests of :mod:`repro.runtime.keys`,
 unchanged — a local cache file and the remote store are interchangeable,
 which is what makes degradation and back-fill safe.
 
-Robustness contract (the reason this module exists):
-
-* every client operation has a per-op socket timeout;
-* transient errors are retried with the shared bounded-exponential-backoff
-  :class:`~repro.runtime.retry.RetryPolicy` (deterministic jitter);
-* :class:`FallbackResultCache` wraps the client behind a circuit breaker —
-  when the remote is unreachable the worker silently degrades to its local
-  :class:`~repro.runtime.cache.ResultCache`, keeps note of what it stored
-  locally, and back-fills the remote store once a half-open probe succeeds.
+The transport gives every operation a per-op timeout and bounded retries;
+:class:`FallbackResultCache` adds a circuit breaker on top — when the
+remote is unreachable the worker silently degrades to its local
+:class:`~repro.runtime.cache.ResultCache`, keeps note of what it stored
+locally, and back-fills the remote store once a half-open probe succeeds.
 
 Fault sites ``cache_net_send`` / ``cache_net_recv`` (armed via
-``REPRO_FAULTS``) model a network edge dying mid-request on either leg.
+``REPRO_FAULTS``) model a network edge dying mid-request on either leg of a
+cache-net request.
 """
 
 from __future__ import annotations
 
-import json
-import socket
-import socketserver
 import threading
 import time
 from typing import Any, Callable
@@ -43,125 +35,33 @@ from typing import Any, Callable
 from .cache import CacheStats, DiskCache, ResultCache
 from .faults import fault_point
 from .retry import RetryPolicy
+from .rpc import RpcClient, RpcError, RpcServer
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CacheNetError",
     "CacheNetServer",
     "CacheNetClient",
     "CircuitBreaker",
     "FallbackResultCache",
-    "parse_address",
 ]
 
 PROTOCOL_VERSION = 1
 
-#: Upper bound on one protocol line (a campaign row payload is a few KB; a
-#: whole shard's CSV rides the fabric control plane, not this one).
-MAX_LINE_BYTES = 16 * 1024 * 1024
 
+class CacheNetServer(RpcServer):
+    """Serve one :class:`DiskCache` over the JSON-lines transport.
 
-class CacheNetError(OSError):
-    """A cache-net operation failed for good (after retries)."""
-
-
-def parse_address(text: str) -> tuple[str, int]:
-    """Parse a ``host:port`` endpoint string."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"endpoint must look like 'host:port', got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ValueError(f"endpoint port must be an integer, got {text!r}") from None
-
-
-def write_message(wfile: Any, payload: dict[str, Any]) -> None:
-    """Write one JSON-line message to a file-like socket writer."""
-    wfile.write(json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n")
-    wfile.flush()
-
-
-def read_message(rfile: Any) -> dict[str, Any] | None:
-    """Read one JSON-line message; ``None`` on a cleanly closed stream."""
-    line = rfile.readline(MAX_LINE_BYTES + 1)
-    if not line:
-        return None
-    if len(line) > MAX_LINE_BYTES:
-        raise CacheNetError(f"protocol line exceeds {MAX_LINE_BYTES} bytes")
-    try:
-        message = json.loads(line)
-    except ValueError as exc:
-        raise CacheNetError(f"malformed protocol line: {exc}") from exc
-    if not isinstance(message, dict):
-        raise CacheNetError("protocol line is not a JSON object")
-    return message
-
-
-# ----------------------------------------------------------------------
-# Server
-# ----------------------------------------------------------------------
-class _CacheRequestHandler(socketserver.StreamRequestHandler):
-    """One connection: serve request lines until the client hangs up."""
-
-    server: "_CacheTCPServer"
-
-    def handle(self) -> None:
-        while True:
-            try:
-                request = read_message(self.rfile)
-            except (OSError, CacheNetError):
-                return
-            if request is None:
-                return
-            try:
-                response = self.server.dispatch(request)
-            except Exception as exc:  # a bad request must not kill the server
-                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                write_message(self.wfile, response)
-            except OSError:
-                return
-
-
-class _CacheTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+    The backing cache stays open after :meth:`stop` (the caller owns it).
+    """
 
     def __init__(
-        self, address: tuple[str, int], cache: DiskCache, requests: "Callable[[str], None]"
+        self, cache: DiskCache, *, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        super().__init__(address, _CacheRequestHandler)
         self.cache = cache
-        self._count = requests
-        self._conn_lock = threading.Lock()
-        self._connections: set[socket.socket] = set()
+        super().__init__(self._dispatch, host=host, port=port, name="repro-cachenet")
 
-    # Track live connections so stop() can sever them: shutting down the
-    # listener alone would leave connected clients working forever, which is
-    # not what a crashed cache server looks like.
-    def process_request(self, request: Any, client_address: Any) -> None:
-        with self._conn_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request: Any) -> None:
-        with self._conn_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
-
-    def close_connections(self) -> None:
-        with self._conn_lock:
-            connections = list(self._connections)
-        for sock in connections:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-    def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
+    def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
-        self._count(str(op))
         if op == "ping":
             return {"ok": True, "server": "repro-cachenet", "v": PROTOCOL_VERSION}
         if op == "get":
@@ -183,80 +83,12 @@ class _CacheTCPServer(socketserver.ThreadingTCPServer):
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 
-class CacheNetServer:
-    """Serve one :class:`DiskCache` over TCP (thread-per-connection).
+class CacheNetClient(RpcClient):
+    """Cache-server client: per-op timeouts, bounded retries, fault sites.
 
-    ``port=0`` binds an ephemeral port; read :attr:`address` after
-    construction.  :meth:`serve_forever` blocks (the CLI path);
-    :meth:`start` serves from a daemon thread (tests and embedding).
-    """
-
-    def __init__(
-        self, cache: DiskCache, *, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.cache = cache
-        self.requests_served = 0
-        self._lock = threading.Lock()
-        self._server = _CacheTCPServer((host, port), cache, self._count_request)
-        self._thread: threading.Thread | None = None
-
-    def _count_request(self, op: str) -> None:
-        with self._lock:
-            self.requests_served += 1
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` endpoint."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def endpoint(self) -> str:
-        """The bound endpoint as a ``host:port`` string."""
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "CacheNetServer":
-        """Serve from a background daemon thread; returns self."""
-        thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-cachenet",
-            daemon=True,
-        )
-        thread.start()
-        self._thread = thread
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`stop`."""
-        self._server.serve_forever()
-
-    def stop(self) -> None:
-        """Stop serving, sever live connections, close the listener.
-
-        The backing cache stays open (the caller owns it).  Severing the
-        connections matters: a stopped server must look like a crashed one
-        to its clients, or degradation would never be exercised.
-        """
-        self._server.shutdown()
-        self._server.close_connections()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
-# ----------------------------------------------------------------------
-# Client
-# ----------------------------------------------------------------------
-class CacheNetClient:
-    """Line-protocol client with per-op timeouts and bounded retries.
-
-    Transient transport failures (connect refused, timeout, torn line) are
-    retried ``retry.max_attempts`` times with the policy's backoff; the
-    connection is torn down and rebuilt between attempts.  When every
-    attempt fails the operation raises :class:`CacheNetError` — callers that
-    must survive that wrap this client in :class:`FallbackResultCache`.
+    An operation that fails for good raises
+    :class:`~repro.runtime.rpc.RpcError`; callers that must survive that
+    wrap this client in :class:`FallbackResultCache`.
     """
 
     def __init__(
@@ -266,80 +98,21 @@ class CacheNetClient:
         timeout: float = 5.0,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.address = parse_address(address) if isinstance(address, str) else address
-        self.timeout = float(timeout)
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=3, base_delay=0.05, max_delay=2.0, jitter=0.5
+        super().__init__(
+            address,
+            name="cache server",
+            timeout=timeout,
+            retry=retry if retry is not None else RetryPolicy(
+                max_attempts=3, base_delay=0.05, max_delay=2.0, jitter=0.5
+            ),
         )
-        self.retries = 0  # transport retries performed (for metrics)
-        self._sock: socket.socket | None = None
-        self._rfile: Any = None
-        self._lock = threading.Lock()
 
-    # -- transport -----------------------------------------------------
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(self.address, timeout=self.timeout)
-            sock.settimeout(self.timeout)
-            self._sock = sock
-            self._rfile = sock.makefile("rb")
-        return self._sock
+    def _before_send(self, op: str) -> None:
+        fault_point("cache_net_send", default="raise=OSError", op=op)
 
-    def _disconnect(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+    def _before_recv(self, op: str) -> None:
+        fault_point("cache_net_recv", default="raise=OSError", op=op)
 
-    def _request_once(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sock = self._connect()
-        fault_point(
-            "cache_net_send", default="raise=OSError", op=str(payload.get("op"))
-        )
-        sock.sendall(json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n")
-        fault_point(
-            "cache_net_recv", default="raise=OSError", op=str(payload.get("op"))
-        )
-        response = read_message(self._rfile)
-        if response is None:
-            raise CacheNetError("cache server closed the connection mid-request")
-        return response
-
-    def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Send one request, retrying transport failures per the policy."""
-        with self._lock:
-            failures = 0
-            while True:
-                try:
-                    response = self._request_once(payload)
-                except (OSError, TimeoutError) as exc:
-                    self._disconnect()
-                    failures += 1
-                    if failures >= self.retry.max_attempts:
-                        raise CacheNetError(
-                            f"cache-net {payload.get('op')} to "
-                            f"{self.address[0]}:{self.address[1]} failed after "
-                            f"{failures} attempt(s): {type(exc).__name__}: {exc}"
-                        ) from exc
-                    self.retries += 1
-                    self.retry.sleep(failures)
-                    continue
-                if not response.get("ok"):
-                    raise CacheNetError(
-                        f"cache server rejected {payload.get('op')}: "
-                        f"{response.get('error', 'unknown error')}"
-                    )
-                return response
-
-    # -- operations ----------------------------------------------------
     def ping(self) -> dict[str, Any]:
         """Round-trip a ping; returns the server's identification."""
         return self.request({"op": "ping"})
@@ -356,16 +129,6 @@ class CacheNetClient:
     def stats(self) -> dict[str, Any]:
         """Remote entry count."""
         return self.request({"op": "stats"})
-
-    def close(self) -> None:
-        with self._lock:
-            self._disconnect()
-
-    def __enter__(self) -> "CacheNetClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +164,6 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self.opens = 0  # times the circuit opened (for metrics)
 
     @property
     def state(self) -> str:
@@ -438,7 +200,6 @@ class CircuitBreaker:
             ):
                 self._state = self.OPEN
                 self._opened_at = self._clock()
-                self.opens += 1
 
 
 class FallbackResultCache:
@@ -466,8 +227,6 @@ class FallbackResultCache:
         self._backlog: list[str] = []
         self._backlog_lock = threading.Lock()
         self.remote_hits = 0
-        self.remote_misses = 0
-        self.remote_errors = 0
         self.backfilled = 0
 
     # -- ResultCache interface -----------------------------------------
@@ -489,13 +248,11 @@ class FallbackResultCache:
             return None
         try:
             value = self.client.get(key)
-        except CacheNetError:
-            self.remote_errors += 1
+        except RpcError:
             self.breaker.record_failure()
             return None
         self._note_success()
         if value is None:
-            self.remote_misses += 1
             return None
         self.remote_hits += 1
         self.local.put(key, value)
@@ -508,8 +265,7 @@ class FallbackResultCache:
             return
         try:
             self.client.put(key, value)
-        except CacheNetError:
-            self.remote_errors += 1
+        except RpcError:
             self.breaker.record_failure()
             self._enqueue(key)
             return
@@ -520,7 +276,7 @@ class FallbackResultCache:
         if self.breaker.allows():
             try:
                 self.client.ping()
-            except CacheNetError:
+            except RpcError:
                 self.breaker.record_failure()
             else:
                 self._note_success()
@@ -560,8 +316,7 @@ class FallbackResultCache:
                 continue  # evicted locally; the unit will be recomputed
             try:
                 self.client.put(key, value)
-            except CacheNetError:
-                self.remote_errors += 1
+            except RpcError:
                 self.breaker.record_failure()
                 requeue.extend(pending[index:])
                 break

@@ -55,9 +55,11 @@ site                 where                                              default 
 ``lease_renew``      :meth:`repro.runtime.leases.LeaseQueue.renew`      ``raise=OSError``
 ``worker_heartbeat`` the fabric worker's heartbeat loop, before each    ``sleep=30``
                      renewal is sent (models a stalled worker)
-``cache_net_send``   :class:`repro.runtime.cachenet.CacheNetClient`,    ``raise=OSError``
-                     before a request is written to the socket
-``cache_net_recv``   same client, before the response is read           ``raise=OSError``
+``cache_net_send``   the cache-net client                               ``raise=OSError``
+                     (:class:`repro.runtime.cachenet.CacheNetClient`),
+                     before a request is written to the socket; the
+                     fabric control plane's requests never fire it
+``cache_net_recv``   the cache-net client, before a response is read    ``raise=OSError``
 ``fabric_shard``     fabric worker, before a leased shard's campaign    ``raise=RuntimeError``
                      runs (models a shard that poisons its worker)
 ===================  =================================================  ==================

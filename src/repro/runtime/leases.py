@@ -116,12 +116,15 @@ class LeaseQueue:
         self._shards: dict[int, ShardLease] = {
             k: ShardLease(shard=k, n_shards=n_shards) for k in range(1, n_shards + 1)
         }
-        # Lifetime counters (exposed through the fabric metrics registry).
+        # Lifetime counters (read by the fabric metrics registry).  A late
+        # completion can promote a poisoned shard, so ``poisonings`` counts
+        # the quarantine events, not the shards in quarantine now.
         self.granted = 0
         self.renewals = 0
         self.expirations = 0
         self.reassignments = 0
         self.completions = 0
+        self.poisonings = 0
 
     # ------------------------------------------------------------------
     # Worker-facing transitions
@@ -240,6 +243,7 @@ class LeaseQueue:
     def _release_locked(self, lease: ShardLease) -> str:
         if lease.attempts >= self.max_attempts:
             lease.state = POISON
+            self.poisonings += 1
         else:
             lease.state = PENDING
             self.reassignments += 1

@@ -1,11 +1,11 @@
 """Shared bounded-exponential-backoff policy.
 
-One retry schedule, three consumers: the worker-pool supervisor of
-:mod:`repro.runtime.parallel` (sleeps between pool resets), the cache-net
-client of :mod:`repro.runtime.cachenet` (sleeps between reconnect
-attempts), and the fabric worker's control-plane client.  Factoring the
-schedule into a policy object keeps the three consistent and makes the
-schedule testable in isolation.
+One retry schedule, two consumers: the worker-pool supervisor of
+:mod:`repro.runtime.parallel` (sleeps between pool resets) and the
+JSON-lines client of :mod:`repro.runtime.rpc` (sleeps between reconnect
+attempts), which both the cache-net client and the fabric worker's
+control-plane client are.  Factoring the schedule into a policy object
+keeps them consistent and makes the schedule testable in isolation.
 
 The schedule is the classic capped exponential::
 

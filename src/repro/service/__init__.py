@@ -3,8 +3,8 @@
 ``repro serve`` turns the one-shot solve / evaluate / analyse commands into a
 long-running service:
 
-* :mod:`repro.service.metrics` — a dependency-free Prometheus-style metric
-  registry (counter / gauge / histogram, text exposition);
+* :mod:`repro.service.metrics` — the daemon's Prometheus-style metric set,
+  declared on the :mod:`repro.obs` registry;
 * :mod:`repro.service.schema` — the JSON request/response schema, built on
   the same :class:`~repro.experiments.scenarios.Scenario` /
   :class:`~repro.core.platform.PlatformSpec` descriptions the CLI and the
@@ -29,14 +29,7 @@ warmed by a campaign serves the daemon and vice versa.
 
 from .app import BackgroundServer, ServiceConfig, ServiceServer, run_server
 from .batcher import RequestBatcher
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    build_fabric_registry,
-    build_service_registry,
-)
+from .metrics import build_service_registry
 from .planner import ServicePlanner
 from .schema import (
     ServiceError,
@@ -47,16 +40,11 @@ from .schema import (
 
 __all__ = [
     "BackgroundServer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RequestBatcher",
     "ServiceConfig",
     "ServiceError",
     "ServicePlanner",
     "ServiceServer",
-    "build_fabric_registry",
     "build_service_registry",
     "parse_analyse_request",
     "parse_evaluate_request",

@@ -37,7 +37,8 @@ from typing import Any, Callable
 from .. import __version__
 from ..runtime.cache import ResultCache
 from .batcher import RequestBatcher
-from .metrics import MetricsRegistry, build_service_registry
+from ..obs import MetricsRegistry
+from .metrics import build_service_registry
 from .planner import ServicePlanner
 from .schema import (
     ServiceError,

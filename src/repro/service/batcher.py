@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
-from .metrics import MetricsRegistry
+from ..obs import MetricsRegistry
 from .planner import ServicePlanner
 from .schema import ServiceError, SolveRequest
 

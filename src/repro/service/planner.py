@@ -38,7 +38,7 @@ from ..core.evaluator import evaluate_schedule
 from ..runtime.cache import LRUCache, ResultCache
 from ..runtime.parallel import WorkerFailure, WorkerPool, parallel_map
 from ..runtime.runner import PlannedUnit, SolvedGroup, WorkUnit, plan_unit, solve_group
-from .metrics import MetricsRegistry
+from ..obs import MetricsRegistry
 from .schema import ScheduleRequest, ServiceError, SolveRequest
 
 __all__ = ["ServicePlanner"]
@@ -54,7 +54,7 @@ class ServicePlanner:
         thread-safe); ``None`` still coalesces in-flight and
         in-batch duplicates, it just cannot answer repeats across batches.
     registry:
-        Optional :class:`~repro.service.metrics.MetricsRegistry` built by
+        Optional :class:`~repro.obs.MetricsRegistry` built by
         :func:`~repro.service.metrics.build_service_registry`; ``None``
         skips instrumentation (library / test use).
     jobs:
@@ -84,8 +84,13 @@ class ServicePlanner:
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
         self._pool = WorkerPool(jobs)
-        self._pool_counts_seen: dict[str, int] = {}
-        self._pool_counts_lock = threading.Lock()
+        if registry is not None:
+            registry.get("repro_pool_crashes_total").set_callback(
+                lambda: float(self._pool.resets)
+            )
+            registry.get("repro_solve_retries_total").set_callback(
+                lambda: float(self._pool.resent)
+            )
 
     # ------------------------------------------------------------------
     # Metrics plumbing
@@ -93,19 +98,6 @@ class ServicePlanner:
     def _inc(self, name: str, amount: float = 1.0) -> None:
         if self.registry is not None:
             self.registry.get(name).inc(amount)
-
-    def _sync_pool_counters(self) -> None:
-        """Fold the worker pool's lifetime counts into the metrics registry."""
-        snapshot = {
-            "repro_pool_crashes_total": self._pool.resets,
-            "repro_solve_retries_total": self._pool.resent,
-        }
-        with self._pool_counts_lock:
-            for name, total in snapshot.items():
-                seen = self._pool_counts_seen.get(name, 0)
-                if total > seen:
-                    self._inc(name, total - seen)
-                    self._pool_counts_seen[name] = total
 
     def cache_hit_rate(self) -> float:
         """Lifetime hit rate of the shared cache (0.0 without a cache)."""
@@ -262,18 +254,15 @@ class ServicePlanner:
                 results[index] = error
                 self._resolve_inflight(planned[index].key, error=error)
 
-        try:
-            parallel_map(
-                solve_group,
-                [tuple(planned[index] for index in indices) for indices in members],
-                pool=self._pool,
-                on_result=on_result,
-                on_failure=on_failure,
-                quarantine=True,
-                retry_backoff=0.0,
-            )
-        finally:
-            self._sync_pool_counters()
+        parallel_map(
+            solve_group,
+            [tuple(planned[index] for index in indices) for indices in members],
+            pool=self._pool,
+            on_result=on_result,
+            on_failure=on_failure,
+            quarantine=True,
+            retry_backoff=0.0,
+        )
 
     def _resolve_inflight(
         self, key: str, *, value: Any = None, error: Exception | None = None

@@ -17,23 +17,20 @@ Covers the full robustness stack the fabric adds:
 from __future__ import annotations
 
 import dataclasses
+import json
 import socket
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import CampaignSpec, run_campaign
-from repro.experiments.fabric import (
-    ControlClient,
-    FabricCoordinator,
-    FabricError,
-    FabricWorker,
-)
+from repro.experiments.fabric import FabricCoordinator, FabricWorker
 from repro.experiments.reporting import read_shard_marker, rows_from_csv, rows_to_csv
 from repro.runtime import (
     DONE,
@@ -41,7 +38,6 @@ from repro.runtime import (
     LEASED,
     PENDING,
     POISON,
-    CampaignJournal,
     DiskCache,
     LeaseQueue,
     ResultCache,
@@ -50,11 +46,11 @@ from repro.runtime import (
 )
 from repro.runtime.cachenet import (
     CacheNetClient,
-    CacheNetError,
     CacheNetServer,
     CircuitBreaker,
     FallbackResultCache,
 )
+from repro.runtime.rpc import RpcClient, RpcError
 
 SPEC = CampaignSpec(
     families=("montage",),
@@ -75,6 +71,16 @@ def _free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+def _coordinator_client(address, attempts: int = 5) -> RpcClient:
+    """A control-plane client like a worker's, with a quick retry policy."""
+    return RpcClient(
+        address,
+        name="coordinator",
+        timeout=10.0,
+        retry=RetryPolicy(max_attempts=attempts, base_delay=0.01),
+    )
 
 
 def _serial_result():
@@ -302,7 +308,7 @@ class TestCacheNet:
                 retry=RetryPolicy(max_attempts=2, base_delay=0.01),
             )
             monkeypatch.setenv(FAULTS_ENV, "cache_net_send")
-            with pytest.raises(CacheNetError):
+            with pytest.raises(RpcError):
                 client.put("k", {"v": 1})
             client.close()
         finally:
@@ -522,6 +528,24 @@ class TestFabricEndToEnd:
         _drive(coordinator, n_workers=1)
         assert coordinator.result().render() == _serial_result().render()
 
+    def test_cache_net_faults_spare_the_control_plane(self, tmp_path, monkeypatch):
+        # One dropped cache-server response is retried by the cache client;
+        # the control plane shares the transport but not its fault sites.
+        monkeypatch.setenv(FAULTS_ENV, "cache_net_recv:times=1")
+        server = CacheNetServer(DiskCache(tmp_path / "shared.sqlite")).start()
+        try:
+            coordinator = FabricCoordinator(
+                SPEC, ttl=10.0, cache_endpoint=server.endpoint
+            ).start()
+            [worker] = _drive(coordinator, n_workers=1)
+        finally:
+            server.stop()
+        assert fault_fired("cache_net_recv")
+        assert worker.client.retries == 0
+        retries = coordinator.registry.get("repro_fabric_cache_net_retries_total")
+        assert retries.value() >= 1
+        assert coordinator.result().render() == _serial_result().render()
+
     def test_lambda_downtime_platform_axes_match_repro_campaign(
         self, tmp_path, capsys
     ):
@@ -555,22 +579,83 @@ class TestFabricEndToEnd:
     def test_unknown_op_and_bad_complete_are_rejected(self):
         coordinator = FabricCoordinator(SPEC, ttl=5.0).start()
         try:
-            client = ControlClient(coordinator.endpoint)
-            with pytest.raises(FabricError, match="unknown op"):
+            client = _coordinator_client(coordinator.endpoint)
+            with pytest.raises(RpcError, match="unknown op"):
                 client.request({"op": "frobnicate", "worker": "w"})
-            with pytest.raises(FabricError, match="rows_csv"):
+            with pytest.raises(RpcError, match="rows_csv"):
                 client.request({"op": "complete", "worker": "w", "shard": 1})
             client.close()
         finally:
             coordinator.stop()
 
+    def test_poisoned_counter_counts_a_promoted_shard(self):
+        # Shard 1 is poisoned, completes late (promoted), then shard 2 is
+        # poisoned: two quarantine events although one shard is in
+        # quarantine at the end.
+        coordinator = FabricCoordinator(SPEC, ttl=5.0, max_attempts=1).start()
+        try:
+            client = _coordinator_client(coordinator.endpoint)
+            for shard in (1, 2):
+                assert client.request({"op": "lease", "worker": "w"})["shard"] == shard
+                client.request({"op": "fail", "worker": "w", "shard": shard})
+                if shard == 1:
+                    client.request({
+                        "op": "complete", "worker": "w", "shard": 1,
+                        "rows_csv": rows_to_csv([]),
+                    })
+            client.close()
+        finally:
+            coordinator.stop()
+        assert len(coordinator.failures) == 1
+        assert "repro_fabric_shards_poisoned_total 2" in coordinator.registry.render()
+
     def test_control_client_gives_up_on_a_dead_coordinator(self):
-        client = ControlClient(
-            ("127.0.0.1", _free_port()),
+        client = _coordinator_client(("127.0.0.1", _free_port()), attempts=2)
+        with pytest.raises(RpcError, match="unreachable after 2 attempt"):
+            client.request({"op": "hello", "worker": "w"})
+
+
+def _stoppable_server(kind: str, tmp_path):
+    if kind == "coordinator":
+        return FabricCoordinator(SPEC, ttl=5.0)
+    return CacheNetServer(DiskCache(tmp_path / "net.sqlite"))
+
+
+class TestServerStop:
+    """Both servers stop the same way: as if they had crashed."""
+
+    @pytest.mark.parametrize("kind", ["coordinator", "cache-server"])
+    def test_a_connection_opened_before_stop_is_cut(self, kind, tmp_path):
+        server = _stoppable_server(kind, tmp_path).start()
+        client = RpcClient(
+            server.endpoint,
+            name=kind,
+            timeout=5.0,
             retry=RetryPolicy(max_attempts=2, base_delay=0.01),
         )
-        with pytest.raises(FabricError, match="unreachable after 2 attempt"):
-            client.request({"op": "hello", "worker": "w"})
+        first, after_stop = (
+            ({"op": "hello", "worker": "w"}, {"op": "lease", "worker": "w"})
+            if kind == "coordinator"
+            else ({"op": "ping"}, {"op": "put", "key": "k", "value": 1})
+        )
+        assert client.request(first)["ok"]
+        server.stop()
+        with pytest.raises(RpcError, match="unreachable after 2 attempt"):
+            client.request(after_stop)
+        client.close()
+        if kind == "coordinator":
+            assert server.queue.granted == 0
+        else:
+            assert server.cache.get("k") is None
+
+    @pytest.mark.parametrize("kind", ["coordinator", "cache-server"])
+    def test_stop_returns_on_a_server_that_never_started(self, kind, tmp_path):
+        server = _stoppable_server(kind, tmp_path)
+        stop = server.close if kind == "coordinator" else server.stop
+        stopper = threading.Thread(target=stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
 
 
 class TestShardMarkers:
@@ -599,21 +684,33 @@ class TestFabricCLI:
         "--max-candidates", "5",
     ]
 
-    def _work_in_thread(self, port: int, name: str = "w") -> threading.Thread:
+    def _work_in_thread(self, port: int) -> Callable[[], int]:
+        """Start a worker on ``port``; the returned call joins it and gives
+        its completed-shard count, or re-raises what the worker raised."""
+        outcome: dict[str, Any] = {}
+
         def run() -> None:
-            worker = FabricWorker(("127.0.0.1", port), name=name, poll=0.02)
+            worker = FabricWorker(("127.0.0.1", port), name="w", poll=0.02)
             try:
-                worker.run()
-            except FabricError:
-                pass  # coordinator gone (test tearing down)
+                outcome["completed"] = worker.run()
+            except Exception as exc:
+                outcome["error"] = exc
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
-        return thread
+
+        def join() -> int:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "the worker did not exit"
+            if "error" in outcome:
+                raise outcome["error"]
+            return outcome["completed"]
+
+        return join
 
     def test_coordinate_writes_report_and_canonical_csv(self, tmp_path, capsys):
         port = _free_port()
-        thread = self._work_in_thread(port)
+        join_worker = self._work_in_thread(port)
         report = tmp_path / "fabric.txt"
         out_csv = tmp_path / "fabric.csv"
         code = main([
@@ -622,7 +719,7 @@ class TestFabricCLI:
             "--timeout", "120",
             "--report", str(report), "--output", str(out_csv),
         ])
-        thread.join(timeout=10)
+        assert join_worker() == 2
         assert code == 0
         assert "listening" in capsys.readouterr().out
         assert report.read_text().rstrip("\n") == _serial_result().render()
@@ -634,13 +731,13 @@ class TestFabricCLI:
     ):
         monkeypatch.setenv(FAULTS_ENV, "fabric_shard:shard=2")
         port = _free_port()
-        thread = self._work_in_thread(port)
+        join_worker = self._work_in_thread(port)
         code = main([
             "fabric", "coordinate", *self.CLI_ARGS,
             "--shards", "2", "--port", str(port), "--ttl", "5",
             "--max-attempts", "2", "--timeout", "120",
         ])
-        thread.join(timeout=10)
+        assert join_worker() == 1
         assert code == 3
         err = capsys.readouterr().err
         assert "1 shard(s) quarantined after repeated failures" in err
@@ -670,14 +767,14 @@ class TestFabricCLI:
     ):
         monkeypatch.setenv(FAULTS_ENV, "fabric_shard")
         port = _free_port()
-        thread = self._work_in_thread(port)
+        join_worker = self._work_in_thread(port)
         report = tmp_path / "report.txt"
         code = main([
             "fabric", "coordinate", *self.CLI_ARGS,
             "--shards", "2", "--port", str(port), "--ttl", "5",
             "--max-attempts", "1", "--timeout", "120", "--report", str(report),
         ])
-        thread.join(timeout=10)
+        assert join_worker() == 0
         assert code == 3
         err = capsys.readouterr().err
         assert "2 shard(s) quarantined after repeated failures" in err
@@ -694,16 +791,25 @@ class TestFabricCLI:
         assert code == 2
         assert "unreachable" in capsys.readouterr().err
 
+    def test_work_reports_a_dead_coordinator_as_json(self, capsys):
+        code = main([
+            "--json", "fabric", "work", "--coordinator", f"127.0.0.1:{_free_port()}",
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "io-error"
+        assert "unreachable after 5 attempt(s)" in error["message"]
+
     def test_metrics_output_is_prometheus_text(self, tmp_path):
         port = _free_port()
-        thread = self._work_in_thread(port)
+        join_worker = self._work_in_thread(port)
         metrics_path = tmp_path / "metrics.txt"
         assert main([
             "fabric", "coordinate", *self.CLI_ARGS,
             "--shards", "2", "--port", str(port), "--ttl", "5",
             "--timeout", "120", "--metrics-output", str(metrics_path),
         ]) == 0
-        thread.join(timeout=10)
+        assert join_worker() == 2
         text = metrics_path.read_text()
         assert "# TYPE repro_fabric_leases_granted_total counter" in text
         assert "repro_fabric_shards_completed_total 2" in text
@@ -712,22 +818,26 @@ class TestFabricCLI:
 class TestFabricSubprocess:
     """The kill-resume gate, in miniature: a worker process dies mid-shard."""
 
+    @staticmethod
+    def _env(faults: str) -> dict[str, str]:
+        return {
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "PATH": "/usr/bin:/bin",
+            "REPRO_FAULTS": faults,
+        }
+
     def test_sigkilled_worker_is_finished_by_a_peer(self, tmp_path):
         port = _free_port()
         coordinator = FabricCoordinator(
             SPEC, port=port, ttl=1.5, journal=tmp_path / "fabric.journal"
         ).start()
-        env = {
-            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
-            "PATH": "/usr/bin:/bin",
-            # Die (exit 137, SIGKILL-alike) after the first completed unit —
-            # mid-shard, after the heartbeat established the lease.
-            "REPRO_FAULTS": "campaign_unit:after=1",
-        }
         doomed = subprocess.run(
             [sys.executable, "-m", "repro.cli", "fabric", "work",
              "--coordinator", f"127.0.0.1:{port}", "--name", "doomed"],
-            env=env, capture_output=True, text=True, timeout=120,
+            # Die (exit 137, SIGKILL-alike) after the first completed unit —
+            # mid-shard, after the heartbeat established the lease.
+            env=self._env("campaign_unit:after=1"),
+            capture_output=True, text=True, timeout=120,
         )
         assert doomed.returncode == 137
         # The shard the dead worker held expires and a peer finishes it.
@@ -740,3 +850,43 @@ class TestFabricSubprocess:
         assert coordinator.queue.expirations >= 1
         assert coordinator.result().render() == _serial_result().render()
         coordinator.close()
+
+    def test_an_idle_worker_exits_0_when_the_campaign_finishes(self):
+        # One shard, two workers: the one without a shard polls until the
+        # coordinator says the campaign is finished, and must not mistake
+        # the coordinator's exit for a crash.  The shard sleeps first, so
+        # both workers have reached the coordinator before it settles.
+        port = _free_port()
+        env = self._env("fabric_shard:sleep=1")
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fabric", "coordinate",
+             "--families", "montage", "--sizes", "10", "--seeds", "0",
+             "--heuristics", "DF-CkptW,DF-CkptNvr", "--max-candidates", "5",
+             "--shards", "1", "--ttl", "5", "--port", str(port),
+             "--timeout", "120"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        workers: list[subprocess.Popen] = []
+        try:
+            assert "listening" in coordinator.stdout.readline()
+            workers = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "repro", "fabric", "work",
+                     "--coordinator", f"127.0.0.1:{port}", "--name", f"w{i}"],
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True,
+                )
+                for i in range(2)
+            ]
+            outputs = [worker.communicate(timeout=120) for worker in workers]
+            coordinator.communicate(timeout=120)
+        finally:
+            for process in (coordinator, *workers):
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        assert coordinator.returncode == 0
+        assert [worker.returncode for worker in workers] == [0, 0], outputs
+        assert sorted(out for out, _ in outputs) == [
+            "completed 0 shard(s)\n", "completed 1 shard(s)\n",
+        ]

@@ -1,4 +1,4 @@
-"""Tests for the service's Prometheus-style metrics (repro.service.metrics)."""
+"""Tests for the Prometheus-style metrics (repro.obs) and the service's set."""
 
 from __future__ import annotations
 
@@ -7,15 +7,15 @@ import threading
 
 import pytest
 
-from repro.service.metrics import (
+from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    build_service_registry,
     format_value,
 )
+from repro.service.metrics import build_service_registry
 
 
 class TestFormatValue:
@@ -59,6 +59,22 @@ class TestCounter:
         counter = Counter("req_total", "help", label_names=("endpoint",))
         with pytest.raises(ValueError, match="expects labels"):
             counter.inc(status="200")
+
+    def test_callback_counter_reads_a_lifetime_count_at_scrape_time(self):
+        box = {"n": 2}
+        counter = Counter("grants_total", "help", callback=lambda: box["n"])
+        assert counter.value() == 2.0
+        box["n"] = 5
+        assert "grants_total 5" in "\n".join(counter.sample_lines())
+        with pytest.raises(ValueError, match="computed by a callback"):
+            counter.inc()
+
+    def test_callback_counters_cannot_be_labelled(self):
+        with pytest.raises(ValueError, match="callback counters cannot be labelled"):
+            Counter("c_total", "help", label_names=("a",), callback=lambda: 1.0)
+        counter = Counter("c_total", "help", label_names=("a",))
+        with pytest.raises(ValueError, match="cannot be labelled"):
+            counter.set_callback(lambda: 1.0)
 
 
 class TestGauge:
